@@ -17,7 +17,7 @@ from repro.api import Session
 
 
 def main() -> None:
-    session = Session(scale=1000, seed=2021, workers=1)
+    session = Session(scale=1000, seed=2021)
     config = session.config
     print(f"generating simulated Internet ({config.n_ases} ASes, "
           f"{config.n_routers} routers, ~{config.n_servers + config.n_cpe} end hosts)...")

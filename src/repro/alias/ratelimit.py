@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass
 
 from repro.alias.sets import AliasSets
-from repro.compat import keyword_only_compat
 from repro.net.addresses import IPAddress
 from repro.net.ratelimit import RateLimit, TokenBucket
 from repro.topology.model import DeviceType, Topology
@@ -32,22 +31,13 @@ from repro.topology.model import DeviceType, Topology
 _TokenBucket = TokenBucket
 
 
-@keyword_only_compat("topology", "seed")
 class IcmpRateLimitOracle:
-    """Answers echo probes subject to each device's shared limiter.
-
-    Arguments are keyword-only; the positional
-    ``IcmpRateLimitOracle(topology, seed)`` form is deprecated but still
-    accepted.
-    """
+    """Answers echo probes subject to each device's shared limiter."""
 
     #: Common limiter configurations (replies/second).
     RATE_CLASSES = (50.0, 100.0, 200.0)
 
-    def __init__(self, *, topology: "Topology | None" = None,
-                 seed: int = 0x1C41) -> None:
-        if topology is None:
-            raise TypeError("IcmpRateLimitOracle requires a topology")
+    def __init__(self, *, topology: "Topology", seed: int = 0x1C41) -> None:
         self.topology = topology
         rng = random.Random(seed ^ topology.seed)
         self._buckets: dict[int, TokenBucket] = {}

@@ -22,18 +22,16 @@ The facade is the *supported* surface: its names are re-exported from
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.alias.sets import AliasSets
 from repro.alias.snmpv3 import resolve_aliases, resolve_dual_stack
 from repro.fingerprint.vendor import vendor_of_alias_set
-from repro.net.faults import FaultProfile
 from repro.pipeline.filters import FilterPipeline, PipelineResult
 from repro.pipeline.records import ValidRecord
 from repro.scanner.campaign import CampaignResult, ScanCampaign, ScanStream
-from repro.scanner.executor import ExecutionOptions, RetryPolicy
+from repro.scanner.executor import ExecutionOptions
 from repro.scanner.metrics import ExecutorMetrics
 from repro.store.query import StoreQuery
 from repro.store.store import Store
@@ -140,16 +138,10 @@ class Session:
         A full :class:`TopologyConfig` for fine-grained control.
     options:
         An :class:`~repro.scanner.executor.ExecutionOptions` bundle — the
-        supported way to shape execution (workers, shard/batch/window
-        geometry, the batch-pipeline switch, retries, profiling, fault
-        injection).  Unset fields take engine defaults.
-    workers / num_shards / batch_size / loss_probability /
-    fault_profile / retry / profile:
-        Deprecated flat aliases for the corresponding
-        :class:`ExecutionOptions` fields.  They keep working (each use
-        emits a :class:`DeprecationWarning`) but cannot be combined with
-        ``options``; new execution knobs are added to the options object
-        only (lint rule API002 enforces this).
+        one way to shape execution (workers, shard/batch/window geometry,
+        the batch-pipeline switch, retries, profiling, fault injection,
+        link loss).  Unset fields take engine defaults; execution knobs
+        are never flat keywords here (lint rule API002 enforces this).
     reboot_threshold / skip:
         Filter-pipeline knobs (see :class:`FilterPipeline`).
     topology:
@@ -172,13 +164,6 @@ class Session:
         seed: int = 2021,
         config: "TopologyConfig | None" = None,
         options: "ExecutionOptions | None" = None,
-        workers: "int | None" = None,
-        num_shards: "int | None" = None,
-        batch_size: "int | None" = None,
-        loss_probability: "float | None" = None,
-        fault_profile: "FaultProfile | str | None" = None,
-        retry: "RetryPolicy | None" = None,
-        profile: bool = False,
         reboot_threshold: "float | None" = None,
         skip: "frozenset[str] | set[str]" = frozenset(),
         store: "Store | str | Path | None" = None,
@@ -191,39 +176,7 @@ class Session:
         wanted_layout = self._topology_options.effective_layout
         if wanted_layout is not None and self.config.layout != wanted_layout:
             self.config = dataclasses.replace(self.config, layout=wanted_layout)
-        flat = {
-            "workers": workers,
-            "num_shards": num_shards,
-            "batch_size": batch_size,
-            "loss_probability": loss_probability,
-            "fault_profile": fault_profile,
-            "retry": retry,
-            "profile": profile or None,
-        }
-        used_flat = [name for name, value in flat.items() if value is not None]
-        if options is not None and used_flat:
-            raise TypeError(
-                "pass execution knobs either via options=ExecutionOptions(...) "
-                f"or as flat keyword arguments, not both (flat: {used_flat})"
-            )
-        if used_flat:
-            warnings.warn(
-                f"Session({', '.join(f'{n}=...' for n in used_flat)}) is "
-                "deprecated; pass options=ExecutionOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if options is None:
-            options = ExecutionOptions(
-                workers=workers,
-                num_shards=num_shards,
-                batch_size=batch_size,
-                loss_probability=loss_probability,
-                fault_profile=fault_profile,
-                retry=retry,
-                profile=profile,
-            )
-        self._options = options
+        self._options = options or ExecutionOptions()
         self._pipeline_kwargs: dict = {"skip": skip}
         if reboot_threshold is not None:
             self._pipeline_kwargs["reboot_threshold"] = reboot_threshold
@@ -360,10 +313,10 @@ class Session:
     def stream_scans(self) -> Iterator[ScanStream]:
         """Yield the campaign's scans one at a time as observation streams.
 
-        Always uses the sharded executor; the campaign result is *not*
-        cached on the session (the point is not materializing it).
+        The same scans :meth:`scan` collects; the campaign result is
+        *not* cached on the session (the point is not materializing it).
         """
-        return self._make_campaign(force_executor=True).run_streaming()
+        return self._make_campaign().run_streaming()
 
     # -- accessors ---------------------------------------------------------
 
@@ -399,12 +352,13 @@ class Session:
 
     @property
     def metrics(self) -> "dict[str, ExecutorMetrics]":
-        """Per-scan execution metrics (empty under the legacy engine)."""
+        """Per-scan :class:`ExecutorMetrics` of the cached campaign, one
+        per scan label (runs scan())."""
         return self.campaign.metrics
 
     @property
     def options(self) -> ExecutionOptions:
-        """The session's execution options (flat kwargs are folded in)."""
+        """The session's execution options."""
         return self._options
 
     @property
@@ -469,16 +423,12 @@ class Session:
     # -- internals ---------------------------------------------------------
 
     def _make_campaign(
-        self,
-        *,
-        force_executor: bool = False,
-        options: "ExecutionOptions | None" = None,
+        self, *, options: "ExecutionOptions | None" = None
     ) -> ScanCampaign:
-        effective = options if options is not None else self._options
-        if force_executor and not effective.selects_executor:
-            effective = dataclasses.replace(effective, workers=1)
         campaign = ScanCampaign(
-            topology=self.topology, config=self.config, options=effective
+            topology=self.topology,
+            config=self.config,
+            options=options if options is not None else self._options,
         )
         self._campaign_obj = campaign
         return campaign

@@ -288,7 +288,7 @@ def _cmd_store_query(args: argparse.Namespace) -> int:
                 "recv_time": s.observation.recv_time,
                 "engine_id": (
                     s.observation.engine_id.raw.hex()
-                    if s.observation.engine_id
+                    if s.observation.engine_id is not None
                     else None
                 ),
                 "engine_boots": s.observation.engine_boots,

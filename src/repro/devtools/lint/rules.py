@@ -595,17 +595,12 @@ class ApiKeywordOnlyRule(Rule):
 # API002 — no new flat kwargs on the facade
 # ---------------------------------------------------------------------------
 
-#: The frozen flat keyword surface of the facade.  Execution knobs added
-#: after the :class:`~repro.scanner.executor.ExecutionOptions`
-#: consolidation belong on the options object; these sets hold the
-#: grandfathered flat aliases plus the non-execution parameters and must
-#: never grow.
+#: The frozen flat keyword surface of the facade.  Execution knobs belong
+#: on :class:`~repro.scanner.executor.ExecutionOptions`; these sets hold
+#: the non-execution parameters only and must never grow.
 _FACADE_FROZEN_KWARGS: "dict[tuple[str, str], frozenset[str]]" = {
     ("Session", "__init__"): frozenset({
         "scale", "seed", "config", "options",
-        # deprecated flat execution aliases (pre-ExecutionOptions)
-        "workers", "num_shards", "batch_size", "loss_probability",
-        "fault_profile", "retry", "profile",
         # filter-pipeline and storage knobs
         "reboot_threshold", "skip", "store",
         # topology shaping goes through one blessed object, like execution
@@ -618,11 +613,11 @@ _FACADE_FROZEN_KWARGS: "dict[tuple[str, str], frozenset[str]]" = {
 class ApiFlatKwargGrowthRule(Rule):
     """API002: the facade's flat keyword surface is frozen.
 
-    ``Session`` and ``run_campaign`` accept a fixed, grandfathered set of
-    flat keyword arguments (kept as deprecated aliases); every new way to
-    shape *how* a campaign executes must be a field on
-    :class:`~repro.scanner.executor.ExecutionOptions` so callers migrate
-    toward one blessed object instead of an ever-growing keyword list.
+    ``Session`` and ``run_campaign`` accept a fixed set of non-execution
+    keyword arguments; every way to shape *how* a campaign executes is a
+    field on :class:`~repro.scanner.executor.ExecutionOptions`, so
+    callers use one blessed object instead of an ever-growing keyword
+    list.
     """
 
     rule_id = "API002"
@@ -650,7 +645,7 @@ class ApiFlatKwargGrowthRule(Rule):
                         self.rule_id, item,
                         f"{node.name}.{item.name} grew flat keyword argument "
                         f"{arg.arg!r}; execution knobs belong on "
-                        f"ExecutionOptions — the flat alias list is frozen",
+                        f"ExecutionOptions — the flat keyword list is frozen",
                     )
 
 

@@ -57,7 +57,10 @@ def _observation_row(obs: ScanObservation) -> str:
         {
             "ip": str(obs.address),
             "recv_time": obs.recv_time,
-            "engine_id": obs.engine_id.raw.hex() if obs.engine_id else None,
+            # An empty engine ID is falsy but parsed; only None is absent.
+            "engine_id": (
+                obs.engine_id.raw.hex() if obs.engine_id is not None else None
+            ),
             "engine_boots": obs.engine_boots,
             "engine_time": obs.engine_time,
             "responses": obs.response_count,

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.compat import keyword_only_compat
 from repro.net.addresses import is_routable_ipv4
 from repro.oui.registry import OuiRegistry, default_registry
 from repro.pipeline.records import (
@@ -91,13 +90,8 @@ class PipelineResult:
     stats: FilterStats
 
 
-@keyword_only_compat("registry", "reboot_threshold", "skip")
 class FilterPipeline:
-    """Configurable §4.4 pipeline.
-
-    Arguments are keyword-only; the positional ``FilterPipeline(registry,
-    reboot_threshold, skip)`` form is deprecated but still accepted.
-    """
+    """Configurable §4.4 pipeline (keyword-only arguments)."""
 
     def __init__(
         self,

@@ -15,12 +15,19 @@ IPv4 scans target every address in the simulated address plan (equivalent
 to probing the full routable space — unassigned addresses never answer);
 IPv6 scans target the IPv6 Hitlist view only, as the paper does.
 
-Two execution engines are available.  The default is the legacy
-synchronous :class:`ZmapScanner` pass.  Passing ``workers=`` (or
-``num_shards=``/``batch_size=``) selects the sharded streaming engine of
+Every scan runs on the sharded streaming engine of
 :mod:`repro.scanner.executor`, whose results are byte-identical for any
-worker count at a fixed seed; :meth:`ScanCampaign.run_streaming` exposes
-the same engine as an incremental per-scan observation stream.
+worker count at a fixed seed.  :meth:`ScanCampaign.run_streaming` yields
+each scan as an incremental observation stream; :meth:`ScanCampaign.run`
+drains those same streams into a :class:`CampaignResult`, so one seed
+gives one scan whichever way it is consumed.
+
+Probe-induced agent state is scan-scoped: the executor restores each
+shard's devices after probing them.  What other clients do to a load
+balancer between scans is modelled instead: the round-robin cursor of
+every VIP jumps to :func:`~repro.topology.lazy.lb_cursor` at each scan
+start, next to the inter-scan reboots, so a round-robin pool can answer
+the two scans of a pair from different backends.
 
 Streamed layouts (``TopologyConfig(layout="streamed")``) change the
 campaign's memory shape, not its semantics.  A
@@ -45,24 +52,22 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from repro.compat import keyword_only_compat
 from repro.net.addresses import IPAddress
-from repro.net.faults import FaultProfile
 from repro.net.transport import Handler, LinkProfile, NetworkFabric
 from repro.scanner.executor import (
     ExecutionOptions,
-    RetryPolicy,
     ScanExecution,
     ShardedScanExecutor,
     ShardSpec,
     StreamingScanExecution,
+    _materialize,
     _ScanParams,
 )
 from repro.scanner.metrics import ExecutorMetrics, ShardMetrics
 from repro.scanner.pool import WorkerPool
 from repro.scanner.records import ScanObservation, ScanResult
-from repro.scanner.zmap import ZmapConfig, ZmapScanner
 from repro.snmp.constants import SNMP_PORT
+from repro.snmp.loadbalancer import AgentPool
 from repro.topology import timeline
 from repro.topology.config import TopologyConfig
 from repro.topology.datasets import (
@@ -76,6 +81,7 @@ from repro.topology.lazy import (
     LazyTopology,
     StreamPlan,
     derive_churn_rotation,
+    lb_cursor,
     reboot_time,
 )
 from repro.topology.model import Device, Topology
@@ -177,60 +183,28 @@ class ScanStream:
         for batch in self.batches():
             yield from batch
 
+    def result(self) -> ScanResult:
+        """Drain this stream, sinks included, into a :class:`ScanResult`."""
+        return _materialize(self.execution, self.batches())
 
-@keyword_only_compat("topology", "config", "loss_probability")
+
 class ScanCampaign:
     """Runs the four-scan measurement campaign against a topology.
 
-    All constructor arguments are keyword-only; the historical positional
-    form ``ScanCampaign(topology, config, loss_probability)`` still works
-    but emits a :class:`DeprecationWarning`.
-
-    Execution shape is best supplied as one
-    :class:`~repro.scanner.executor.ExecutionOptions` object; the flat
-    keyword arguments remain as aliases for callers that predate it.
-    Mixing ``options`` with any flat execution kwarg is an error.
+    Execution shape (workers, shard geometry, retries, fault injection,
+    link loss) comes from one
+    :class:`~repro.scanner.executor.ExecutionOptions`; unset fields take
+    the engine defaults.
     """
 
     def __init__(
         self,
         *,
-        topology: "Topology | LazyTopology | None" = None,
+        topology: "Topology | LazyTopology",
         config: "TopologyConfig | None" = None,
-        loss_probability: "float | None" = None,
-        workers: "int | None" = None,
-        num_shards: "int | None" = None,
-        batch_size: "int | None" = None,
-        fault_profile: "FaultProfile | str | None" = None,
-        retry: "RetryPolicy | None" = None,
-        profile: bool = False,
         options: "ExecutionOptions | None" = None,
     ) -> None:
-        if topology is None:
-            raise TypeError("ScanCampaign requires a topology")
-        if options is None:
-            options = ExecutionOptions(
-                workers=workers,
-                num_shards=num_shards,
-                batch_size=batch_size,
-                retry=retry,
-                profile=profile,
-                fault_profile=fault_profile,
-                loss_probability=loss_probability,
-            )
-        elif (
-            workers is not None
-            or num_shards is not None
-            or batch_size is not None
-            or fault_profile is not None
-            or retry is not None
-            or profile
-            or loss_probability is not None
-        ):
-            raise TypeError(
-                "pass execution knobs either via options=ExecutionOptions(...) "
-                "or as flat keyword arguments, not both"
-            )
+        options = options or ExecutionOptions()
         self.topology = topology
         self._lazy = isinstance(topology, LazyTopology)
         self._streamed = (
@@ -273,12 +247,6 @@ class ScanCampaign:
         )
         if options.fault_profile is not None:
             self._fabric.set_fault_profile(options.fault_profile)
-        self._scanner = ZmapScanner(fabric=self._fabric, config=ZmapConfig())
-        # Geometry, pipeline, retry or profiling knobs imply the sharded
-        # engine: the legacy scanner has no retry loop and no stage timers.
-        # Streamed layouts always use it — only the executor can plan and
-        # probe a target *iterator* window by window.
-        self._use_executor = options.selects_executor or self._streamed
         self._executor_config = options.executor_config(topology.seed)
         # address -> device id, the campaign's live view (mutated by churn).
         self._binding: dict[IPAddress, int] = {}
@@ -292,6 +260,17 @@ class ScanCampaign:
         self._stream_overrides: dict[IPAddress, int] = {}
         self._reboot_times: dict[int, float] = {}
         self._rebooted: set[int] = set()
+        # Load-balancer VIPs of an eager world, whose round-robin cursors
+        # drift between scans (a lazy world drifts its own on derivation).
+        self._pools: "list[tuple[int, AgentPool]]" = (
+            []
+            if self._lazy
+            else [
+                (device.device_id, device.agent_pool)
+                for device in topology.devices.values()
+                if device.agent_pool is not None
+            ]
+        )
         self._datasets: "RouterDatasets | StreamedRouterDatasets | None" = None
         # Per-family sorted target lists (sequential layout only); the
         # address plan is campaign-constant, so compute each family once.
@@ -315,52 +294,55 @@ class ScanCampaign:
     def run(self) -> CampaignResult:
         """Execute all four scans in chronological order.
 
-        With the sharded engine selected (``workers=...``), per-scan
-        :class:`ExecutorMetrics` land in ``result.metrics``.  A parallel
-        run forks its worker pool once, right after campaign setup, and
-        reuses it for all four scans.
+        Drains the same per-scan streams :meth:`run_streaming` yields;
+        each scan's :class:`ExecutorMetrics` lands in ``result.metrics``.
+        A parallel run forks its worker pool once, right after campaign
+        setup, and reuses it for all four scans.
         """
         result = CampaignResult()
-        self._setup(result)
-        with self._pool_scope() as pool:
-            for label in SCAN_LABELS:
-                derive_base = (
-                    self.topology.derive_seconds if self._lazy else 0.0  # type: ignore[union-attr]
-                )
-                version, start, rate, targets = self._advance_to(label, result)
-                if self._streamed:
-                    execution = self._execute_scan(pool, label, version,
-                                                   start, rate, targets)
-                    result.scans[label] = execution.result()
-                    result.metrics[label] = execution.metrics
-                    if self._lazy:
-                        execution.metrics.derive_time = (
-                            self.topology.derive_seconds - derive_base  # type: ignore[union-attr]
-                        )
-                elif self._use_executor:
-                    execution = self._make_executor(pool).execute(
-                        targets, label=label, ip_version=version,
-                        start_time=start, rate_pps=rate,
-                    )
-                    result.scans[label] = execution.result()
-                    result.metrics[label] = execution.metrics
-                else:
-                    result.scans[label] = self._scanner.scan(
-                        targets, label=label, ip_version=version,
-                        start_time=start, rate_pps=rate,
-                    )
+        for stream in self._streams(result):
+            result.scans[stream.label] = stream.result()
+            result.metrics[stream.label] = stream.execution.metrics
         return result
 
     def run_streaming(self) -> Iterator[ScanStream]:
         """Yield one :class:`ScanStream` per scan, in schedule order.
 
-        Always uses the sharded engine.  Each stream's batches must be
-        consumed before requesting the next stream: the inter-scan events
-        (reboots, churn) rebind fabric endpoints in place.  The worker
-        pool (if any) stays alive across all four streams and shuts down
-        when the generator finishes.
+        Each stream's batches must be consumed before requesting the next
+        stream: the inter-scan events (reboots, churn) rebind fabric
+        endpoints in place.  The worker pool (if any) stays alive across
+        all four streams and shuts down when the generator finishes.
         """
-        result = CampaignResult()
+        return self._streams(CampaignResult())
+
+    def run_targeted(
+        self,
+        targets: "list[IPAddress]",
+        *,
+        label: str,
+        ip_version: int,
+        start_time: float,
+        rate_pps: float = 5000.0,
+    ) -> ScanResult:
+        """One ad-hoc scan of an explicit target list over the campaign world.
+
+        The service scheduler's re-probe primitive: scans exactly
+        ``targets`` at virtual ``start_time`` without replaying the
+        four-scan schedule.  The first call performs campaign setup
+        (datasets, initial bindings, reboot schedule); reboots due by
+        ``start_time`` are applied before probing, so successive targeted
+        scans at increasing virtual times observe the world aging.
+        Deterministic in ``(seed, targets, start_time)``.
+        """
+        if self._datasets is None:
+            self._setup(CampaignResult())
+        self._apply_due_reboots(start_time)
+        return self._execute_scan(
+            None, label, ip_version, start_time, rate_pps, targets
+        ).result()
+
+    def _streams(self, result: CampaignResult) -> Iterator[ScanStream]:
+        """The four-scan loop: set up, then one stream per scheduled scan."""
         self._setup(result)
         with self._pool_scope() as pool:
             for label in SCAN_LABELS:
@@ -392,43 +374,6 @@ class ScanCampaign:
                     execution=execution,
                     finalize=finalize,
                 )
-
-    def run_targeted(
-        self,
-        targets: "list[IPAddress]",
-        *,
-        label: str,
-        ip_version: int,
-        start_time: float,
-        rate_pps: float = 5000.0,
-    ) -> ScanResult:
-        """One ad-hoc scan of an explicit target list over the campaign world.
-
-        The service scheduler's re-probe primitive: scans exactly
-        ``targets`` at virtual ``start_time`` without replaying the
-        four-scan schedule.  The first call performs campaign setup
-        (datasets, initial bindings, reboot schedule); reboots due by
-        ``start_time`` are applied before probing, so successive targeted
-        scans at increasing virtual times observe the world aging.
-        Deterministic in ``(seed, targets, start_time)``.
-        """
-        if self._datasets is None:
-            self._setup(CampaignResult())
-        self._apply_due_reboots(start_time)
-        if self._streamed:
-            return self._make_executor().execute_stream(
-                iter(targets), label=label, ip_version=ip_version,
-                start_time=start_time, rate_pps=rate_pps,
-            ).result()
-        if self._use_executor:
-            return self._make_executor(None).execute(
-                list(targets), label=label, ip_version=ip_version,
-                start_time=start_time, rate_pps=rate_pps,
-            ).result()
-        return self._scanner.scan(
-            list(targets), label=label, ip_version=ip_version,
-            start_time=start_time, rate_pps=rate_pps,
-        )
 
     # -- schedule ---------------------------------------------------------------
 
@@ -491,15 +436,6 @@ class ScanCampaign:
         result.bindings[label] = dict(self._binding)
         return version, start, rate, targets
 
-    def _scan_schedule(
-        self, result: CampaignResult
-    ) -> "Iterator[tuple[str, int, float, float, list[IPAddress] | Iterator[IPAddress]]]":
-        """Drive the four-scan timeline: interim events, targets, bindings."""
-        self._setup(result)
-        for label in SCAN_LABELS:
-            version, start, rate, targets = self._advance_to(label, result)
-            yield label, version, start, rate, targets
-
     @contextmanager
     def _pool_scope(self) -> "Iterator[WorkerPool | None]":
         """A campaign-lifetime worker pool, or ``None`` on the serial path.
@@ -510,8 +446,7 @@ class ScanCampaign:
         """
         workers = self._executor_config.workers
         if (
-            not self._use_executor
-            or self._streamed
+            self._streamed
             # Streamed campaigns parallelize per planning window with
             # ephemeral pools: a fork-time replica of a lazy world would
             # freeze one window's resident devices for the whole run.
@@ -549,7 +484,6 @@ class ScanCampaign:
             devices=self.topology.devices,
             owner_of=owner_of,
             config=self._executor_config,
-            zmap_config=self._scanner.config,
             pool=pool,
             owner_of_batch=owner_of_batch,
             # Lazy worlds fast-reject closed devices at the fabric, so
@@ -620,13 +554,16 @@ class ScanCampaign:
     # -- interim events ------------------------------------------------------------
 
     def _apply_due_reboots(self, now: float) -> None:
+        """Age the world to ``now``: due reboots and load-balancer drift."""
         if self._lazy:
-            # Live devices reboot now; devices derived later apply their
-            # (pure-function) reboot time at materialization.
+            # Live devices age now; devices derived later apply their
+            # (pure-function) reboot time and cursor at materialization.
             self.topology.advance_clock(now)  # type: ignore[union-attr]
             return
+        seed = self.topology.seed
+        for device_id, pool in self._pools:
+            pool._rr_counter = lb_cursor(seed, device_id, now)
         if self._streamed:
-            seed = self.topology.seed
             rebooted = self._rebooted
             for device in self.topology.devices.values():
                 if not device.reboot_between_scans \

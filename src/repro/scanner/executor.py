@@ -1,9 +1,9 @@
-"""Sharded, streaming scan execution.
+"""Sharded, streaming scan execution — the engine behind every campaign.
 
-The legacy :class:`~repro.scanner.zmap.ZmapScanner` walks the whole
+The standalone :class:`~repro.scanner.zmap.ZmapScanner` walks the whole
 target permutation in one synchronous pass and materializes every
-observation before anything downstream runs.  This module replaces that
-shape for production-scale campaigns:
+observation before anything downstream runs.  Campaigns instead run
+every scan through this module:
 
 * **Sharding** — the permuted target list is partitioned into a fixed
   number of shards, grouped by *owning device* so that all probes that
@@ -22,11 +22,10 @@ shape for production-scale campaigns:
   campaign, the filter pipeline and the JSONL exporters never hold a
   full Internet-scale scan in memory.
 
-The probe hot loop uses
-:func:`repro.snmp.messages.encode_discovery_probe` (byte-identical to
-the message-object path, ~6x cheaper), which makes the sharded engine
-measurably faster than the legacy scanner even on a single core — see
-``benchmarks/test_bench_executor.py``.
+The probe hot loop is the staged batch pipeline of
+:mod:`repro.scanner.pipeline`; the per-probe loop it replaced survives
+only behind ``pipeline=False`` as the reference
+``tests/scanner/test_pipeline_identity.py`` compares against.
 """
 
 from __future__ import annotations
@@ -138,8 +137,8 @@ class ExecutorConfig:
     (the serial fallback, also used where ``fork`` is unavailable).
     ``seed`` is the determinism root — campaigns pass ``topology.seed``.
     ``retry`` is the per-probe fault-tolerance policy; the default policy
-    (no retries, no timeout) reproduces the legacy single-probe engine
-    exactly, including its RNG streams.
+    (no retries, no timeout) sends exactly one probe per target, as
+    :class:`~repro.scanner.zmap.ZmapScanner` does.
     """
 
     workers: int = 1
@@ -190,9 +189,9 @@ class ExecutionOptions:
     the batch-pipeline A/B switch, retry policy, stage profiling and the
     fabric's fault injection — without touching *what* it measures.
     ``None`` means "engine default".  :class:`~repro.api.Session`,
-    ``run_campaign`` and the CLI accept this object; the historical flat
-    keyword arguments remain as deprecated aliases (API002 lints against
-    growing new ones).
+    ``run_campaign``, :class:`~repro.scanner.campaign.ScanCampaign` and
+    the CLI accept this object and no flat execution keywords (API002
+    keeps them from growing back on the facade).
 
     ``fault_profile`` and ``loss_probability`` ride along because the
     facade has always treated them as execution shape: they select what
@@ -210,27 +209,6 @@ class ExecutionOptions:
     loss_probability: "float | None" = None
     #: Targets per streaming planning window (streamed-layout campaigns).
     target_window: "int | None" = None
-
-    @property
-    def selects_executor(self) -> bool:
-        """Whether any sharded-engine knob is set.
-
-        Mirrors the flat-kwarg behavior exactly: geometry, pipeline,
-        retry or profiling knobs imply the sharded engine, while
-        ``fault_profile``/``loss_probability`` only shape the fabric —
-        a campaign with just those still runs the legacy single-pass
-        scanner, the facade's long-standing default.
-        """
-        return (
-            self.workers is not None
-            or self.num_shards is not None
-            or self.batch_size is not None
-            or self.window is not None
-            or self.pipeline is not None
-            or self.retry is not None
-            or self.profile
-            or self.target_window is not None
-        )
 
     def executor_config(self, seed: int) -> ExecutorConfig:
         """Materialize an :class:`ExecutorConfig`, defaulting unset fields."""
@@ -323,7 +301,7 @@ def plan_shards(
 ) -> list[ShardSpec]:
     """Partition a target list into deterministic shards.
 
-    Targets are permuted exactly like the legacy scanner (so probe
+    Targets are permuted exactly like :class:`ZmapScanner` (so probe
     ``msg_id``/send-time assignment is comparable), then routed to
     ``owner_device_id % num_shards``.  Addresses with no owning device
     (closed or unassigned — they can never answer or consume RNG) are
@@ -461,8 +439,7 @@ class ScanExecution:
 
     ``batches()`` (or ``observations()``) may be consumed once; metrics
     finalize when the stream is exhausted.  ``result()`` drains the
-    stream into a materialized :class:`ScanResult` for callers that
-    still want the legacy shape.
+    stream into a materialized :class:`ScanResult`.
     """
 
     def __init__(
@@ -480,7 +457,7 @@ class ScanExecution:
         self.label = params.label
         self.ip_version = params.ip_version
         self.started_at = params.start_time
-        #: Virtual completion time: one send slot per target, as legacy.
+        #: Virtual completion time: one send slot per target.
         self.finished_at = params.start_time + total_targets * params.interval
         self.metrics = ExecutorMetrics(
             label=params.label,
@@ -502,22 +479,8 @@ class ScanExecution:
             yield from batch
 
     def result(self) -> ScanResult:
-        """Materialize the stream into a legacy :class:`ScanResult`."""
-        scan = ScanResult(
-            label=self.label,
-            ip_version=self.ip_version,
-            started_at=self.started_at,
-        )
-        metrics = self.metrics
-        for batch in self.batches():
-            ingest_started = time.perf_counter()
-            scan.add_batch(batch)
-            metrics.ingest_time += time.perf_counter() - ingest_started
-        scan.finished_at = self.finished_at
-        scan.targets_probed = metrics.probes_sent
-        scan.probe_bytes_sent = sum(s.probe_bytes for s in metrics.shards)
-        scan.reply_bytes_received = sum(s.reply_bytes for s in metrics.shards)
-        return scan
+        """Drain the stream into a materialized :class:`ScanResult`."""
+        return _materialize(self, self.batches())
 
 
 class StreamingScanExecution:
@@ -625,22 +588,33 @@ class StreamingScanExecution:
 
     def result(self) -> ScanResult:
         """Drain the stream into a materialized :class:`ScanResult`."""
-        scan = ScanResult(
-            label=self.label,
-            ip_version=self.ip_version,
-            started_at=self.started_at,
-        )
-        metrics = self.metrics
-        for batch in self.batches():
-            ingest_started = time.perf_counter()
-            scan.add_batch(batch)
-            metrics.ingest_time += time.perf_counter() - ingest_started
-        assert self.finished_at is not None
-        scan.finished_at = self.finished_at
-        scan.targets_probed = metrics.probes_sent
-        scan.probe_bytes_sent = sum(s.probe_bytes for s in metrics.shards)
-        scan.reply_bytes_received = sum(s.reply_bytes for s in metrics.shards)
-        return scan
+        return _materialize(self, self.batches())
+
+
+def _materialize(
+    execution: "ScanExecution | StreamingScanExecution",
+    batches: "Iterable[list[ScanObservation]]",
+) -> ScanResult:
+    """Drain ``batches`` — ``execution``'s stream, or a wrapper over it
+    such as a campaign's teed :class:`ScanStream` view — into a
+    :class:`ScanResult`."""
+    scan = ScanResult(
+        label=execution.label,
+        ip_version=execution.ip_version,
+        started_at=execution.started_at,
+    )
+    metrics = execution.metrics
+    for batch in batches:
+        ingest_started = time.perf_counter()
+        scan.add_batch(batch)
+        metrics.ingest_time += time.perf_counter() - ingest_started
+    # Known once the stream is exhausted, even for a target iterator.
+    assert execution.finished_at is not None
+    scan.finished_at = execution.finished_at
+    scan.targets_probed = metrics.probes_sent
+    scan.probe_bytes_sent = sum(s.probe_bytes for s in metrics.shards)
+    scan.reply_bytes_received = sum(s.reply_bytes for s in metrics.shards)
+    return scan
 
 
 class _ExecutorShardRunner:

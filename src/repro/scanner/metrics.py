@@ -1,10 +1,10 @@
 """Execution metrics for the sharded scan engine.
 
 One :class:`ShardMetrics` per shard, aggregated into an
-:class:`ExecutorMetrics` per scan.  The CLI's ``--stats`` flag prints
-these, and ``benchmarks/test_bench_executor.py`` records them in
-``BENCH_executor.json`` — they are the observability surface the
-ROADMAP's "as fast as the hardware allows" goal is measured against.
+:class:`ExecutorMetrics` per scan.  Every campaign scan carries one
+(``CampaignResult.metrics``, ``Session.metrics``); the CLI's ``--stats``
+flag prints them and the benchmark harness reads its layer counters
+from them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ class ShardMetrics:
 
     The retry/fault counters (``retries`` through ``corrupted``) stay
     zero for the default :class:`~repro.scanner.executor.RetryPolicy`
-    with no fault profile attached — the legacy single-probe path.
+    with no fault profile attached — one probe per target.
     """
 
     shard_index: int

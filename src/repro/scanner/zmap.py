@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.asn1 import ber
-from repro.compat import keyword_only_compat
 from repro.net.addresses import IPAddress
 from repro.net.packet import Datagram
 from repro.net.transport import NetworkFabric
@@ -44,22 +43,12 @@ class ZmapConfig:
     shuffle_seed: int = 0xC0FFEE
 
 
-@keyword_only_compat("fabric", "config")
 class ZmapScanner:
-    """Single-probe-per-target UDP scanner over a fabric.
-
-    Arguments are keyword-only; the positional ``ZmapScanner(fabric,
-    config)`` form is deprecated but still accepted.
-    """
+    """Single-probe-per-target UDP scanner over a fabric."""
 
     def __init__(
-        self,
-        *,
-        fabric: "NetworkFabric | None" = None,
-        config: "ZmapConfig | None" = None,
+        self, *, fabric: NetworkFabric, config: "ZmapConfig | None" = None
     ) -> None:
-        if fabric is None:
-            raise TypeError("ZmapScanner requires a fabric")
         self._fabric = fabric
         self.config = config or ZmapConfig()
 
@@ -80,7 +69,7 @@ class ZmapScanner:
 
         ``targets`` may be any iterable (it is materialized once for the
         shuffle); constant-memory streaming belongs to the sharded
-        executor's ``execute_stream``, not this legacy engine.
+        executor's ``execute_stream``, not this single-pass scanner.
         """
         rate = rate_pps if rate_pps is not None else self.config.rate_pps
         interval = 1.0 / rate

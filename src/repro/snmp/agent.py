@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.asn1 import ber
 from repro.asn1.oid import Oid
-from repro.compat import keyword_only_compat
 from repro.net.packet import Datagram
 from repro.snmp import constants, pdu as pdu_mod
 from repro.snmp.engine_id import EngineId
@@ -114,26 +113,19 @@ class AgentBehavior:
     reboot_after_handles: int = 0
 
 
-@keyword_only_compat(
-    "engine_id", "boot_time", "engine_boots", "behavior", "communities",
-    "users", "mib",
-)
 class SnmpAgent:
     """A single SNMP engine bound to one device.
 
     The agent is deliberately transport-agnostic: :meth:`handle` takes the
     raw UDP payload and the virtual receive time and returns reply
     payloads.  The simulated fabric adapts it to :class:`Datagram`.
-
-    Arguments are keyword-only; the historical positional
-    ``SnmpAgent(engine_id, boot_time, ...)`` form still works but emits
-    a :class:`DeprecationWarning`.
+    Arguments are keyword-only.
     """
 
     def __init__(
         self,
         *,
-        engine_id: "EngineId | None" = None,
+        engine_id: EngineId,
         boot_time: float = 0.0,
         engine_boots: int = 1,
         behavior: "AgentBehavior | None" = None,
@@ -141,8 +133,6 @@ class SnmpAgent:
         users: "tuple[UsmUser, ...]" = (),
         mib: "Mib | None" = None,
     ) -> None:
-        if engine_id is None:
-            raise TypeError("SnmpAgent requires an engine_id")
         self.engine_id = engine_id
         self.boot_time = boot_time
         self.engine_boots = engine_boots

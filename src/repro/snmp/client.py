@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from repro.asn1 import ber
 from repro.asn1.oid import Oid
-from repro.compat import keyword_only_compat
 from repro.snmp import constants, pdu as pdu_mod
 from repro.snmp.agent import SnmpAgent, UsmUser
 from repro.snmp.messages import (
@@ -48,20 +47,14 @@ class DiscoveryResult:
     engine_time: int
 
 
-@keyword_only_compat("agent")
 class SnmpClient:
     """A direct (in-process) SNMP manager for lab experiments.
 
     ``agent`` is queried synchronously; ``now`` advances under caller
     control so uptime-sensitive tests are deterministic.
-
-    Arguments are keyword-only; the positional ``SnmpClient(agent)``
-    form is deprecated but still accepted.
     """
 
-    def __init__(self, *, agent: "SnmpAgent | None" = None) -> None:
-        if agent is None:
-            raise TypeError("SnmpClient requires an agent")
+    def __init__(self, *, agent: "SnmpAgent") -> None:
         self._agent = agent
         self._msg_ids = itertools.count(1)
 

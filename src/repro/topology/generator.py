@@ -42,7 +42,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Protocol
 
-from repro.compat import keyword_only_compat
 from repro.net.mac import MacAddress
 from repro.oui.enterprise import enterprise_number, has_enterprise_number
 from repro.oui.registry import OuiRegistry, default_registry
@@ -579,14 +578,8 @@ def finish_device(cfg: TopologyConfig, rng: random.Random, alloc: DeviceAllocato
     return device
 
 
-@keyword_only_compat("config", "registry")
 class TopologyGenerator:
-    """Deterministic topology builder.
-
-    Arguments are keyword-only; the positional
-    ``TopologyGenerator(config, registry)`` form is deprecated but
-    still accepted.
-    """
+    """Deterministic topology builder (keyword-only arguments)."""
 
     def __init__(self, *, config: "TopologyConfig | None" = None,
                  registry: "OuiRegistry | None" = None) -> None:

@@ -21,9 +21,10 @@ Address arithmetic (the invertible part):
   ``v6_base + (k << 64) + host`` where the host bits are either small
   sequential counters or EUI-64 interface IDs.
 
-Between-scan events are pure functions too: :func:`reboot_time` keys on
-the device id, :func:`churn_roll` on ``(version, address)``, so reboots
-and DHCP churn apply identically whether the world is lazy or eager.
+Between-scan events are pure functions too: :func:`reboot_time` and
+:func:`lb_cursor` key on the device id, :func:`churn_roll` on
+``(version, address)``, so reboots, load-balancer drift and DHCP churn
+apply identically whether the world is lazy or eager.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ __all__ = [
     "derive_churn_rotation",
     "derive_device",
     "derive_membership",
+    "lb_cursor",
     "membership_of_device",
     "mix",
     "reboot_time",
@@ -765,6 +767,18 @@ def reboot_time(seed: int, device_id: int) -> float:
                        timeline.SCAN2_V4_START + timeline.SCAN2_V4_DURATION)
 
 
+def lb_cursor(seed: int, device_id: int, now: float) -> int:
+    """Where a load balancer's round-robin cursor stands at ``now``.
+
+    Other clients' traffic moves a VIP's round-robin cursor between two
+    scans by an amount the prober cannot see, so the cursor at each scan
+    start is an independent draw; the pool takes it modulo its backend
+    count.  Probing itself never moves the cursor across scans — the
+    executor restores it after every shard.
+    """
+    return mix(seed, "lb-cursor", device_id, now)
+
+
 def churn_roll(seed: int, version: int, address: IPAddress) -> bool:
     """Whether one bound DHCP-pool address churns before the second scan."""
     rng = random.Random(mix(seed, "churn", version, int(address)))
@@ -1002,7 +1016,7 @@ class LazyTopology:
             self.derive_seconds += time.perf_counter() - began
             self.derivations += 1
             self._canonical[key] = device
-            self._apply_reboot(device)
+            self._age(device)
             self._openness[device.device_id] = 1 if device.snmp_open else 2
             self._pool_flags[device.device_id] = (
                 1 if (device.dhcp_pool and device.snmp_open) else 2
@@ -1054,15 +1068,20 @@ class LazyTopology:
     # -- between-scan events ------------------------------------------------
 
     def advance_clock(self, now: float) -> None:
-        """Apply due reboots to every live device; later derivations apply
-        them at materialization time."""
+        """Apply due reboots and load-balancer drift to every live device;
+        later derivations apply them at materialization time."""
         if now <= self._now:
             return
         self._now = now
         for device in list(self._canonical.values()):
-            self._apply_reboot(device)
+            self._age(device)
 
-    def _apply_reboot(self, device: Device) -> None:
+    def _age(self, device: Device) -> None:
+        """Bring one live device to the clock: LB drift, due reboot."""
+        if device.agent_pool is not None and self._now > float("-inf"):
+            device.agent_pool._rr_counter = lb_cursor(
+                self.seed, device.device_id, self._now
+            )
         if not getattr(device, "reboot_between_scans", False):
             return
         if getattr(device, "_lazy_rebooted", False):

@@ -1,11 +1,10 @@
 """The consolidated :class:`ExecutionOptions` surface on the facade.
 
-One blessed object now carries every execution knob; the sixteen-odd
-flat keyword arguments survive only as deprecated aliases.  These tests
-pin the migration contract: options-first construction is silent, flat
-kwargs warn by name, mixing the two is an error, per-round overrides
-work, and the legacy ``selects_executor`` semantics (fault shaping alone
-does not engage the sharded engine) are preserved bit for bit.
+One blessed object carries every execution knob; the flat keyword
+aliases it replaced are gone.  These tests pin the contract:
+options-first construction is silent, flat execution kwargs are
+rejected, defaults are documented, and per-round overrides work without
+touching the session's own options.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.scanner.executor import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_NUM_SHARDS,
     DEFAULT_WINDOW,
-    RetryPolicy,
 )
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import TopologyGenerator
@@ -45,40 +43,33 @@ def test_session_accepts_options_silently():
     assert session.options.batch_size == 8
 
 
-def test_flat_kwargs_still_work_but_warn_by_name():
-    with pytest.warns(DeprecationWarning, match=r"workers=.*num_shards="):
-        session = Session(scale=SCALE, workers=1, num_shards=2)
-    assert session.options.workers == 1
-    assert session.options.num_shards == 2
+def test_flat_execution_kwargs_are_gone():
+    topology = TopologyGenerator(
+        config=TopologyConfig(seed=9, scale_divisor=SCALE)
+    ).build()
+    with pytest.raises(TypeError, match="workers"):
+        Session(scale=SCALE, workers=1)
+    with pytest.raises(TypeError, match="workers"):
+        ScanCampaign(topology=topology, workers=1)
+    with pytest.raises(TypeError, match="loss_probability"):
+        ScanCampaign(topology=topology, loss_probability=0.0)
 
 
 def test_mixing_options_and_flat_kwargs_is_an_error():
-    with pytest.raises(TypeError, match="not both"):
+    with pytest.raises(TypeError, match="workers"):
         Session(scale=SCALE, options=ExecutionOptions(workers=1), workers=2)
+    with pytest.raises(TypeError, match="fault_profile"):
+        Session(scale=SCALE, options=ExecutionOptions(), fault_profile="chaos")
 
 
 def test_campaign_rejects_mixed_styles_too():
     topology = TopologyGenerator(
         config=TopologyConfig(seed=9, scale_divisor=SCALE)
     ).build()
-    with pytest.raises(TypeError, match="not both"):
+    with pytest.raises(TypeError, match="workers"):
         ScanCampaign(
             topology=topology, options=ExecutionOptions(workers=1), workers=2
         )
-
-
-def test_selects_executor_mirrors_legacy_flat_semantics():
-    # Geometry / pipeline / retry / profiling knobs engage the sharded
-    # engine; fault shaping alone never did and still must not.
-    assert not ExecutionOptions().selects_executor
-    assert not ExecutionOptions(fault_profile="chaos").selects_executor
-    assert not ExecutionOptions(loss_probability=0.5).selects_executor
-    for knob in (
-        dict(workers=1), dict(num_shards=2), dict(batch_size=4),
-        dict(window=8), dict(pipeline=False), dict(retry=RetryPolicy()),
-        dict(profile=True),
-    ):
-        assert ExecutionOptions(**knob).selects_executor, knob
 
 
 def test_executor_config_fills_documented_defaults():
@@ -91,24 +82,13 @@ def test_executor_config_fills_documented_defaults():
     assert config.seed == 123
 
 
-def test_fault_profile_alone_runs_the_single_pass_scanner():
-    topology = TopologyGenerator(
-        config=TopologyConfig(seed=9, scale_divisor=SCALE)
-    ).build()
-    campaign = ScanCampaign(
-        topology=topology, options=ExecutionOptions(fault_profile="conformance")
-    )
-    result = campaign.run()
-    assert result.metrics == {}  # legacy scanner path: no executor metrics
-
-
 def test_run_campaign_accepts_a_per_round_override():
     session = Session(scale=SCALE)
     result = session.run_campaign(
         options=ExecutionOptions(workers=1, num_shards=2)
     )
-    assert result.metrics  # override engaged the sharded engine this round
-    assert not session.options.selects_executor  # session default untouched
+    assert {m.num_shards for m in result.metrics.values()} == {2}
+    assert session.options == ExecutionOptions()  # session default untouched
 
 
 def test_session_and_override_produce_identical_observations():

@@ -50,7 +50,7 @@ import pytest
 from repro.alias.snmpv3 import resolve_aliases
 from repro.pipeline.filters import FilterPipeline
 from repro.scanner.campaign import SCAN_LABELS, ScanCampaign
-from repro.scanner.executor import RetryPolicy
+from repro.scanner.executor import ExecutionOptions, RetryPolicy
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import build_topology
 
@@ -63,10 +63,12 @@ FAULTED_WORKERS = int(os.environ.get("CONFORMANCE_WORKERS", "1"))
 RETRY = RetryPolicy(max_retries=6, timeout=2.0)
 
 
-def _run_campaign(**kwargs):
+def _run_campaign(**options):
     config = TopologyConfig.tiny(seed=SEED)
     topology = build_topology(config)
-    return ScanCampaign(topology=topology, config=config, **kwargs).run()
+    return ScanCampaign(
+        topology=topology, config=config, options=ExecutionOptions(**options)
+    ).run()
 
 
 @pytest.fixture(scope="module")

@@ -16,10 +16,8 @@ def findings(source: str, module: str = "repro.api") -> list[str]:
 FROZEN_SESSION = """
 class Session:
     def __init__(self, *, scale=300.0, seed=2021, config=None, options=None,
-                 workers=None, num_shards=None, batch_size=None,
-                 loss_probability=None, fault_profile=None, retry=None,
-                 profile=False, reboot_threshold=None, skip=frozenset(),
-                 store=None):
+                 reboot_threshold=None, skip=frozenset(), store=None,
+                 topology=None):
         pass
 
     def run_campaign(self, *, round_id=None, options=None):
@@ -32,7 +30,13 @@ def test_grandfathered_surface_is_clean():
 
 
 def test_new_flat_kwarg_on_init_is_flagged():
-    grown = FROZEN_SESSION.replace("store=None):", "store=None, turbo=False):")
+    grown = FROZEN_SESSION.replace("topology=None):", "topology=None, turbo=False):")
+    assert findings(grown) == ["API002"]
+
+
+def test_readding_a_retired_flat_alias_is_flagged():
+    grown = FROZEN_SESSION.replace("options=None,\n", "options=None, workers=None,\n", 1)
+    assert grown != FROZEN_SESSION
     assert findings(grown) == ["API002"]
 
 

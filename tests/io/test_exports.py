@@ -56,6 +56,23 @@ class TestScanRoundTrip:
         assert b.engine_id is None
         assert b.response_count == 3
 
+    def test_empty_engine_id_round_trips(self, tmp_path):
+        """A parsed zero-length engine ID is falsy but is not a malformed
+        reply (``None``); the two must not merge on disk."""
+        scan = make_scan()
+        empty = ScanObservation(
+            address=ipaddress.ip_address("192.0.2.5"),
+            recv_time=103.25,
+            engine_id=EngineId(b""),
+            wire_bytes=60,
+        )
+        scan.add(empty)
+        path = tmp_path / "scan.jsonl"
+        export_scan_jsonl(scan, path)
+        loaded = load_scan_jsonl(path)
+        assert loaded.observations[empty.address].engine_id == EngineId(b"")
+        assert loaded.observations == scan.observations
+
     def test_header_is_self_describing(self, tmp_path):
         path = tmp_path / "scan.jsonl"
         export_scan_jsonl(make_scan(), path)

@@ -55,18 +55,3 @@ class TestRunStreamEquivalence:
         )
         assert streamed.valid == materialized.valid
         assert streamed.stats == materialized.stats
-
-
-class TestDeprecatedConstructor:
-    def test_positional_pipeline_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="positional FilterPipeline"):
-            pipeline = FilterPipeline(None, 42.0)
-        assert pipeline.reboot_threshold == 42.0
-
-    def test_positional_and_keyword_registry_conflict(self):
-        from repro.oui.registry import default_registry
-
-        registry = default_registry()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                FilterPipeline(registry, registry=registry)

@@ -5,6 +5,7 @@ import ipaddress
 import pytest
 
 from repro.scanner.campaign import SCAN_LABELS, ScanCampaign
+from repro.scanner.metrics import ExecutorMetrics
 from repro.snmp.agent import SnmpAgent
 from repro.snmp.constants import SNMP_PORT
 from repro.snmp.engine_id import EngineId
@@ -100,9 +101,13 @@ class TestCampaign:
         }
         assert changed
 
-    def test_metrics_empty_under_legacy_engine(self, campaign_result):
+    def test_default_campaign_carries_executor_metrics(self, campaign_result):
+        """One engine: a default campaign runs the sharded executor."""
         __, result = campaign_result
-        assert result.metrics == {}
+        assert set(result.metrics) == set(SCAN_LABELS)
+        for label, metrics in result.metrics.items():
+            assert isinstance(metrics, ExecutorMetrics)
+            assert metrics.probes_sent == result.scans[label].targets_probed
 
     def test_open_router_interfaces_respond(self, campaign_result):
         topo, result = campaign_result
@@ -125,7 +130,7 @@ class TestCampaign:
 
 def _pooled_device(device_id: int, address: str) -> Device:
     backends = [
-        SnmpAgent(EngineId(bytes([0x80, 0, 0, 9, 3, 0, 0, 0, device_id, n])))
+        SnmpAgent(engine_id=EngineId(bytes([0x80, 0, 0, 9, 3, 0, 0, 0, device_id, n])))
         for n in (1, 2)
     ]
     return Device(
@@ -165,20 +170,3 @@ class TestChurnRebinding:
         for address, owner in ((addr1, 2), (addr2, 1)):
             handler = campaign._fabric._endpoints[(address, "udp", SNMP_PORT)]
             assert handler.__self__ is devices[owner].agent_pool
-
-
-class TestDeprecatedConstructors:
-    def test_positional_campaign_warns_but_works(self):
-        cfg = TopologyConfig.tiny(seed=21)
-        topo = build_topology(cfg)
-        with pytest.warns(DeprecationWarning, match="positional ScanCampaign"):
-            campaign = ScanCampaign(topo, cfg)
-        assert campaign.topology is topo
-        assert campaign.config is cfg
-
-    def test_positional_and_keyword_topology_conflict(self):
-        cfg = TopologyConfig.tiny(seed=21)
-        topo = build_topology(cfg)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                ScanCampaign(topo, topology=topo, config=cfg)

@@ -7,6 +7,7 @@ import pytest
 from repro.net.transport import NetworkFabric
 from repro.scanner.campaign import SCAN_LABELS, ScanCampaign
 from repro.scanner.executor import (
+    ExecutionOptions,
     ExecutorConfig,
     RetryPolicy,
     ShardedScanExecutor,
@@ -19,10 +20,12 @@ from repro.topology.config import TopologyConfig
 from repro.topology.generator import build_topology
 
 
-def _run_campaign(**kwargs):
+def _run_campaign(**options):
     cfg = TopologyConfig.tiny(seed=21)
     topo = build_topology(cfg)
-    campaign = ScanCampaign(topology=topo, config=cfg, **kwargs)
+    campaign = ScanCampaign(
+        topology=topo, config=cfg, options=ExecutionOptions(**options)
+    )
     return topo, campaign
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.transport import LinkProfile, NetworkFabric
 from repro.scanner.records import ScanObservation, ScanResult
-from repro.scanner.zmap import ZmapConfig, ZmapScanner
+from repro.scanner.zmap import ZmapScanner
 from repro.snmp.agent import AgentBehavior, SnmpAgent
 from repro.snmp.constants import SNMP_PORT
 from repro.snmp.engine_id import EngineId
@@ -138,17 +138,3 @@ class TestScanResult:
         result.add(self.make_obs(address="192.0.2.2", engine_id=None))
         assert result.unique_engine_ids() == 1
         assert result.responsive_count == 2
-
-
-class TestDeprecatedConstructor:
-    def test_positional_scanner_warns_but_works(self, fabric):
-        config = ZmapConfig()
-        with pytest.warns(DeprecationWarning, match="positional ZmapScanner"):
-            scanner = ZmapScanner(fabric, config)
-        assert scanner.fabric is fabric
-        assert scanner.config is config
-
-    def test_positional_and_keyword_fabric_conflict(self, fabric):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                ZmapScanner(fabric, fabric=fabric)

@@ -29,14 +29,14 @@ def make_agent(**kwargs):
 class TestDiscovery:
     def test_discovery_returns_engine_triple(self):
         agent = make_agent()
-        result = SnmpClient(agent).discover(now=1500.0)
+        result = SnmpClient(agent=agent).discover(now=1500.0)
         assert result.engine_id == ENGINE.raw
         assert result.engine_boots == 5
         assert result.engine_time == 500
 
     def test_discovery_counts_usm_stat(self):
         agent = make_agent()
-        client = SnmpClient(agent)
+        client = SnmpClient(agent=agent)
         client.discover(now=0.0)
         client.discover(now=1.0)
         assert agent.stats_unknown_engine_ids == 2
@@ -61,7 +61,7 @@ class TestDiscovery:
 
     def test_v3_disabled_silent(self):
         agent = make_agent(behavior=AgentBehavior(v3_enabled=False))
-        assert SnmpClient(agent).discover(now=0.0) is None
+        assert SnmpClient(agent=agent).discover(now=0.0) is None
 
 
 class TestEngineTime:
@@ -77,7 +77,7 @@ class TestEngineTime:
 
     def test_zero_time_behavior(self):
         agent = make_agent(behavior=AgentBehavior(report_zero_time=True))
-        result = SnmpClient(agent).discover(now=5000.0)
+        result = SnmpClient(agent=agent).discover(now=5000.0)
         assert result.engine_time == 0
         assert result.engine_boots == 0
 
@@ -113,7 +113,7 @@ class TestBehaviorQuirks:
 
     def test_empty_engine_id_reply(self):
         agent = make_agent(behavior=AgentBehavior(report_empty_engine_id=True))
-        result = SnmpClient(agent).discover(now=0.0)
+        result = SnmpClient(agent=agent).discover(now=0.0)
         assert result.engine_id == b""
 
     def test_v3_enabled_by_community(self):
@@ -121,30 +121,30 @@ class TestBehaviorQuirks:
         the agent answer v3 discovery."""
         behavior = AgentBehavior(v3_enabled=False, v3_enabled_by_community=True)
         without_community = make_agent(behavior=behavior)
-        assert SnmpClient(without_community).discover(now=0.0) is None
+        assert SnmpClient(agent=without_community).discover(now=0.0) is None
         with_community = make_agent(behavior=behavior, communities=(b"pass123",))
-        assert SnmpClient(with_community).discover(now=0.0) is not None
+        assert SnmpClient(agent=with_community).discover(now=0.0) is not None
 
 
 class TestCommunityAccess:
     def test_correct_community_answers(self):
         agent = make_agent(communities=(b"public",))
-        value = SnmpClient(agent).get_v2c(b"public", constants.OID_SYS_DESCR)
+        value = SnmpClient(agent=agent).get_v2c(b"public", constants.OID_SYS_DESCR)
         assert value == b"Test Router"
 
     def test_wrong_community_silent(self):
         agent = make_agent(communities=(b"public",))
-        assert SnmpClient(agent).get_v2c(b"secret", constants.OID_SYS_DESCR) is None
+        assert SnmpClient(agent=agent).get_v2c(b"secret", constants.OID_SYS_DESCR) is None
 
     def test_v2c_disabled(self):
         agent = make_agent(
             communities=(b"public",), behavior=AgentBehavior(v2c_enabled=False)
         )
-        assert SnmpClient(agent).get_v2c(b"public", constants.OID_SYS_DESCR) is None
+        assert SnmpClient(agent=agent).get_v2c(b"public", constants.OID_SYS_DESCR) is None
 
     def test_unknown_oid_error(self):
         agent = make_agent(communities=(b"public",))
-        assert SnmpClient(agent).get_v2c(b"public", Oid("1.3.6.1.99")) is None
+        assert SnmpClient(agent=agent).get_v2c(b"public", Oid("1.3.6.1.99")) is None
 
 
 class TestV3Queries:
@@ -154,7 +154,7 @@ class TestV3Queries:
         """§6.2.1: the Report rejecting an unknown user still carries the
         engine ID — the core information leak."""
         agent = make_agent()
-        value, engine_id = SnmpClient(agent).get_v3_noauth(
+        value, engine_id = SnmpClient(agent=agent).get_v3_noauth(
             b"noAuthUser", constants.OID_SYS_DESCR
         )
         assert value is None
@@ -163,24 +163,24 @@ class TestV3Queries:
 
     def test_authenticated_get(self):
         agent = make_agent(users=(self.USER,))
-        value = SnmpClient(agent).get_v3_auth(self.USER, constants.OID_SYS_DESCR, now=1500.0)
+        value = SnmpClient(agent=agent).get_v3_auth(self.USER, constants.OID_SYS_DESCR, now=1500.0)
         assert value == b"Test Router"
 
     def test_wrong_password_rejected(self):
         agent = make_agent(users=(self.USER,))
         impostor = UsmUser(b"admin", AuthProtocol.HMAC_SHA1_96, "wrong password")
-        assert SnmpClient(agent).get_v3_auth(impostor, constants.OID_SYS_DESCR) is None
+        assert SnmpClient(agent=agent).get_v3_auth(impostor, constants.OID_SYS_DESCR) is None
         assert agent.stats_wrong_digests == 1
 
     def test_md5_auth_also_works(self):
         user = UsmUser(b"md5user", AuthProtocol.HMAC_MD5_96, "another secret")
         agent = make_agent(users=(user,))
-        assert SnmpClient(agent).get_v3_auth(user, constants.OID_SYS_DESCR) == b"Test Router"
+        assert SnmpClient(agent=agent).get_v3_auth(user, constants.OID_SYS_DESCR) == b"Test Router"
 
     def test_sysuptime_tracks_boot_time(self):
         from repro.snmp.pdu import TimeTicks
 
         agent = make_agent(users=(self.USER,))
-        value = SnmpClient(agent).get_v3_auth(self.USER, constants.OID_SYS_UPTIME, now=1060.0)
+        value = SnmpClient(agent=agent).get_v3_auth(self.USER, constants.OID_SYS_UPTIME, now=1060.0)
         assert isinstance(value, TimeTicks)
         assert int(value) == 6000  # 60 s in hundredths

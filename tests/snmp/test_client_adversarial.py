@@ -43,26 +43,26 @@ AUTH_USER = UsmUser(b"u", AuthProtocol.HMAC_SHA1_96, "some-password")
 
 class TestGarbageReports:
     def test_discovery_returns_none(self):
-        client = SnmpClient(make_agent(garbage_reports=True))
+        client = SnmpClient(agent=make_agent(garbage_reports=True))
         assert client.discover(now=10.0) is None
 
     def test_v2c_get_returns_none(self):
-        client = SnmpClient(make_agent(garbage_reports=True))
+        client = SnmpClient(agent=make_agent(garbage_reports=True))
         assert client.get_v2c(b"public", SYS_DESCR) is None
 
     def test_v3_noauth_returns_nothing(self):
-        client = SnmpClient(make_agent(garbage_reports=True))
+        client = SnmpClient(agent=make_agent(garbage_reports=True))
         assert client.get_v3_noauth(b"u", SYS_DESCR) == (None, None)
 
     def test_v3_auth_returns_none(self):
-        client = SnmpClient(make_agent(garbage_reports=True))
+        client = SnmpClient(agent=make_agent(garbage_reports=True))
         assert client.get_v3_auth(AUTH_USER, SYS_DESCR) is None
 
     def test_garbage_is_not_silence(self):
         """The reply arrives on the wire — it is garbage, not a timeout."""
         agent = make_agent(garbage_reports=True)
         replies = agent.handle(
-            SnmpClient(make_agent()).discover(now=0.0) and b"" or b"", now=0.0
+            SnmpClient(agent=make_agent()).discover(now=0.0) and b"" or b"", now=0.0
         )
         assert replies == []  # empty payload is ignored, sanity check
         from repro.snmp.messages import build_discovery_probe
@@ -86,13 +86,13 @@ class TestGarbageReports:
 
 class TestOddEngineIds:
     def test_oversized_engine_id_disclosed(self):
-        client = SnmpClient(make_agent(engine_id_pad_to=64))
+        client = SnmpClient(agent=make_agent(engine_id_pad_to=64))
         result = client.discover(now=5.0)
         assert result is not None
         assert len(result.engine_id) == 64
 
     def test_undersized_engine_id_disclosed(self):
-        client = SnmpClient(make_agent(engine_id_pad_to=3))
+        client = SnmpClient(agent=make_agent(engine_id_pad_to=3))
         result = client.discover(now=5.0)
         assert result is not None
         assert len(result.engine_id) == 3
@@ -100,7 +100,7 @@ class TestOddEngineIds:
     @settings(max_examples=30)
     @given(st.integers(min_value=1, max_value=200))
     def test_any_pad_length_survives_full_exchange(self, pad_to):
-        client = SnmpClient(make_agent(engine_id_pad_to=pad_to))
+        client = SnmpClient(agent=make_agent(engine_id_pad_to=pad_to))
         result = client.discover(now=5.0)
         assert result is not None
         assert len(result.engine_id) == pad_to
@@ -128,7 +128,7 @@ class TestSlowResponder:
 class TestMidScanReboot:
     def test_boots_bump_under_probe_load(self):
         agent = make_agent(reboot_after_handles=3)
-        client = SnmpClient(agent)
+        client = SnmpClient(agent=agent)
         boots = []
         for i in range(9):
             result = client.discover(now=float(i))
@@ -141,7 +141,7 @@ class TestMidScanReboot:
 
     def test_engine_time_resets_on_reboot(self):
         agent = make_agent(reboot_after_handles=2)
-        client = SnmpClient(agent)
+        client = SnmpClient(agent=agent)
         client.discover(now=100.0)
         result = client.discover(now=100.0)  # second handle triggers reboot
         assert result.engine_time == 0

@@ -28,19 +28,19 @@ def make_agent(boot_time=0.0, boots=7):
 class TestEngineGroup:
     def test_engine_id_readable_over_mib(self):
         agent = make_agent()
-        value = SnmpClient(agent).get_v3_auth(USER, constants.OID_SNMP_ENGINE_ID)
+        value = SnmpClient(agent=agent).get_v3_auth(USER, constants.OID_SNMP_ENGINE_ID)
         assert value == agent.engine_id.raw
 
     def test_engine_boots_live(self):
         agent = make_agent(boots=7)
-        client = SnmpClient(agent)
+        client = SnmpClient(agent=agent)
         assert client.get_v3_auth(USER, constants.OID_SNMP_ENGINE_BOOTS) == 7
         agent.reboot(now=500.0)
         assert client.get_v3_auth(USER, constants.OID_SNMP_ENGINE_BOOTS, now=600.0) == 8
 
     def test_engine_time_tracks_clock(self):
         agent = make_agent(boot_time=100.0)
-        value = SnmpClient(agent).get_v3_auth(
+        value = SnmpClient(agent=agent).get_v3_auth(
             USER, constants.OID_SNMP_ENGINE_TIME, now=350.0
         )
         assert value == 250
@@ -48,7 +48,7 @@ class TestEngineGroup:
     def test_mib_values_match_discovery(self):
         """The MIB view and the USM header tell one story."""
         agent = make_agent(boot_time=0.0, boots=7)
-        client = SnmpClient(agent)
+        client = SnmpClient(agent=agent)
         discovery = client.discover(now=1234.0)
         assert client.get_v3_auth(USER, constants.OID_SNMP_ENGINE_BOOTS, now=1234.0) \
             == discovery.engine_boots

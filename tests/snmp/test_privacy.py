@@ -66,7 +66,7 @@ class TestPrivPrimitives:
 
 class TestAuthPrivExchange:
     def test_priv_get(self):
-        client = SnmpClient(make_agent())
+        client = SnmpClient(agent=make_agent())
         assert client.get_v3_priv(USER, OID_SYS_DESCR, now=50.0) == b"secure router"
 
     def test_payload_not_visible_on_the_wire(self):
@@ -82,7 +82,7 @@ class TestAuthPrivExchange:
             return replies
 
         agent.handle = tap
-        SnmpClient(agent).get_v3_priv(USER, OID_SYS_DESCR, now=50.0)
+        SnmpClient(agent=agent).get_v3_priv(USER, OID_SYS_DESCR, now=50.0)
         # The discovery exchange is plaintext; the GET and its response
         # must not contain the sysDescr value or its OID bytes.
         from repro.asn1 import ber
@@ -98,14 +98,14 @@ class TestAuthPrivExchange:
         agent = make_agent()
         impostor = UsmUser(b"secops", AuthProtocol.HMAC_SHA1_96, "auth-pass-123",
                            priv_password="wrong-priv")
-        value = SnmpClient(agent).get_v3_priv(impostor, OID_SYS_DESCR, now=50.0)
+        value = SnmpClient(agent=agent).get_v3_priv(impostor, OID_SYS_DESCR, now=50.0)
         assert value is None
 
     def test_priv_requires_configured_user(self):
         agent = make_agent()
         no_priv = UsmUser(b"plain", AuthProtocol.HMAC_SHA1_96, "auth-pass-123")
         with pytest.raises(ValueError):
-            SnmpClient(agent).get_v3_priv(no_priv, OID_SYS_DESCR)
+            SnmpClient(agent=agent).get_v3_priv(no_priv, OID_SYS_DESCR)
 
     def test_agent_without_priv_user_rejects_encrypted(self):
         plain_user = UsmUser(b"plain", AuthProtocol.HMAC_SHA1_96, "pass-one-two")
@@ -116,7 +116,7 @@ class TestAuthPrivExchange:
         )
         pretend = UsmUser(b"plain", AuthProtocol.HMAC_SHA1_96, "pass-one-two",
                           priv_password="whatever")
-        assert SnmpClient(agent).get_v3_priv(pretend, OID_SYS_DESCR) is None
+        assert SnmpClient(agent=agent).get_v3_priv(pretend, OID_SYS_DESCR) is None
 
     def test_md5_authpriv(self):
         user = UsmUser(b"md5sec", AuthProtocol.HMAC_MD5_96, "md5-auth-pw",
@@ -126,12 +126,12 @@ class TestAuthPrivExchange:
             boot_time=0.0, engine_boots=1, users=(user,),
             mib=build_system_mib("r", "r", Oid("1.3.6.1.4.1.9.1.1"), lambda: 0.0),
         )
-        assert SnmpClient(agent).get_v3_priv(user, OID_SYS_DESCR) == b"r"
+        assert SnmpClient(agent=agent).get_v3_priv(user, OID_SYS_DESCR) == b"r"
 
     def test_discovery_still_leaks_engine_id_despite_priv(self):
         """The paper's core point survives full encryption: discovery is,
         by design, unauthenticated and unencrypted."""
         agent = make_agent()
-        result = SnmpClient(agent).discover(now=5.0)
+        result = SnmpClient(agent=agent).discover(now=5.0)
         assert result is not None
         assert result.engine_id == agent.engine_id.raw

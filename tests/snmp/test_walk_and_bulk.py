@@ -46,23 +46,23 @@ def agent():
 
 class TestWalk:
     def test_walk_if_table(self, agent):
-        rows = SnmpClient(agent).walk_v3_auth(USER, OID_IF_TABLE_ENTRY)
+        rows = SnmpClient(agent=agent).walk_v3_auth(USER, OID_IF_TABLE_ENTRY)
         # 4 interfaces x 5 columns.
         assert len(rows) == 20
         assert all(OID_IF_TABLE_ENTRY.is_prefix_of(oid) for oid, __ in rows)
 
     def test_walk_stops_at_subtree_boundary(self, agent):
-        rows = SnmpClient(agent).walk_v3_auth(USER, Oid("1.3.6.1.2.1.1"))
+        rows = SnmpClient(agent=agent).walk_v3_auth(USER, Oid("1.3.6.1.2.1.1"))
         names = [oid for oid, __ in rows]
         assert all(Oid("1.3.6.1.2.1.1").is_prefix_of(oid) for oid in names)
         assert len(rows) == 7  # the system group
 
     def test_walk_respects_limit(self, agent):
-        rows = SnmpClient(agent).walk_v3_auth(USER, Oid("1.3.6.1"), limit=3)
+        rows = SnmpClient(agent=agent).walk_v3_auth(USER, Oid("1.3.6.1"), limit=3)
         assert len(rows) == 3
 
     def test_get_next_single_step(self, agent):
-        entry = SnmpClient(agent).get_next_v3_auth(USER, Oid("1.3.6.1.2.1.1.1"))
+        entry = SnmpClient(agent=agent).get_next_v3_auth(USER, Oid("1.3.6.1.2.1.1.1"))
         assert entry is not None
         oid, value = entry
         assert oid == Oid("1.3.6.1.2.1.1.1.0")
@@ -71,14 +71,14 @@ class TestWalk:
 
 class TestGetBulk:
     def test_bulk_pulls_repetitions(self, agent):
-        rows = SnmpClient(agent).get_bulk_v3_auth(
+        rows = SnmpClient(agent=agent).get_bulk_v3_auth(
             USER, [OID_IF_TABLE_ENTRY.child(COLUMN_IF_DESCR)], max_repetitions=3
         )
         assert len(rows) == 3
         assert rows[0][1] == b"GigabitEthernet0/0"
 
     def test_bulk_stops_when_exhausted(self, agent):
-        rows = SnmpClient(agent).get_bulk_v3_auth(
+        rows = SnmpClient(agent=agent).get_bulk_v3_auth(
             USER, [OID_IF_TABLE_ENTRY.child(COLUMN_IF_PHYS_ADDRESS, 3)],
             max_repetitions=500,
         )
@@ -86,7 +86,7 @@ class TestGetBulk:
         assert rows  # never infinite
 
     def test_bulk_non_repeaters(self, agent):
-        rows = SnmpClient(agent).get_bulk_v3_auth(
+        rows = SnmpClient(agent=agent).get_bulk_v3_auth(
             USER,
             [Oid("1.3.6.1.2.1.1.4"), OID_IF_TABLE_ENTRY.child(COLUMN_IF_DESCR)],
             max_repetitions=2,
@@ -119,10 +119,10 @@ class TestGetBulk:
 
 class TestIfTable:
     def test_if_number(self, agent):
-        assert SnmpClient(agent).get_v3_auth(USER, OID_IF_NUMBER) == 4
+        assert SnmpClient(agent=agent).get_v3_auth(USER, OID_IF_NUMBER) == 4
 
     def test_parse_if_table_groups_rows(self, agent):
-        rows = SnmpClient(agent).walk_v3_auth(USER, OID_IF_TABLE_ENTRY)
+        rows = SnmpClient(agent=agent).walk_v3_auth(USER, OID_IF_TABLE_ENTRY)
         table = parse_if_table(rows)
         assert set(table) == {1, 2, 3, 4}
         assert table[2][COLUMN_IF_DESCR] == b"GigabitEthernet0/1"
@@ -130,7 +130,7 @@ class TestIfTable:
     def test_engine_mac_matches_first_interface_row(self, agent):
         """The lab cross-check, done purely in-protocol: the engine ID's
         MAC equals ifPhysAddress of the first ifTable row."""
-        client = SnmpClient(agent)
+        client = SnmpClient(agent=agent)
         discovery = client.discover(now=0.0)
         engine_mac = EngineId(discovery.engine_id).mac
         rows = client.walk_v3_auth(USER, OID_IF_TABLE_ENTRY)

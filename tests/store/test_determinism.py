@@ -1,6 +1,7 @@
 """Determinism contract: segment bytes never depend on the ingest path."""
 
 from repro.scanner.campaign import ScanCampaign
+from repro.scanner.executor import ExecutionOptions
 from repro.store import Store
 from repro.store.segment import segment_fingerprint
 from repro.topology.config import TopologyConfig
@@ -11,7 +12,9 @@ def ingest_campaign(root, *, seed, workers, streaming=False):
     """Run one tiny campaign into a fresh store; return its fingerprint."""
     cfg = TopologyConfig.tiny(seed=seed)
     topo = build_topology(cfg)
-    campaign = ScanCampaign(topology=topo, config=cfg, workers=workers)
+    campaign = ScanCampaign(
+        topology=topo, config=cfg, options=ExecutionOptions(workers=workers)
+    )
     store = Store(root=root)
     if streaming:
         for stream in campaign.run_streaming():

@@ -7,19 +7,17 @@ from repro.api import Session, Store, StoreQuery
 
 class TestSessionStore:
     def test_store_accepts_path(self, tmp_path):
-        session = Session(scale=1500, seed=5, workers=1,
-                          store=tmp_path / "obs")
+        session = Session(scale=1500, seed=5, store=tmp_path / "obs")
         assert isinstance(session.store, Store)
         assert (tmp_path / "obs").is_dir()
 
     def test_store_accepts_store_object(self, tmp_path):
         store = Store(root=tmp_path / "obs")
-        session = Session(scale=1500, seed=5, workers=1, store=store)
+        session = Session(scale=1500, seed=5, store=store)
         assert session.store is store
 
     def test_run_campaign_auto_ingests(self, tmp_path):
-        session = Session(scale=1500, seed=5, workers=1,
-                          store=tmp_path / "obs")
+        session = Session(scale=1500, seed=5, store=tmp_path / "obs")
         result = session.run_campaign()
         assert session.store is not None
         assert session.store.rounds() == [1]
@@ -28,16 +26,14 @@ class TestSessionStore:
             assert rebuilt.observations == scan.observations
 
     def test_repeat_rounds_accumulate(self, tmp_path):
-        session = Session(scale=1500, seed=5, workers=1,
-                          store=tmp_path / "obs")
+        session = Session(scale=1500, seed=5, store=tmp_path / "obs")
         session.run_campaign()
         session.run_campaign()
         session.run_campaign(round_id=9)
         assert session.store.rounds() == [1, 2, 9]
 
     def test_scan_stage_ingests_when_store_present(self, tmp_path):
-        session = Session(scale=1500, seed=5, workers=1,
-                          store=tmp_path / "obs")
+        session = Session(scale=1500, seed=5, store=tmp_path / "obs")
         session.scan()
         assert session.store.rounds() == [1]
         # The cached campaign is not re-ingested by later stage calls.
@@ -45,20 +41,19 @@ class TestSessionStore:
         assert session.store.rounds() == [1]
 
     def test_store_query_helper(self, tmp_path):
-        session = Session(scale=1500, seed=5, workers=1,
-                          store=tmp_path / "obs")
+        session = Session(scale=1500, seed=5, store=tmp_path / "obs")
         session.run_campaign()
         query = session.store_query()
         assert isinstance(query, StoreQuery)
         assert query.device_count > 0
 
     def test_store_query_without_store_raises(self):
-        session = Session(scale=1500, seed=5, workers=1)
+        session = Session(scale=1500, seed=5)
         with pytest.raises(ValueError, match="store"):
             session.store_query()
 
     def test_no_store_still_works(self):
-        session = Session(scale=1500, seed=5, workers=1)
+        session = Session(scale=1500, seed=5)
         assert session.store is None
         assert session.run_campaign().scans
 
