@@ -30,6 +30,11 @@ class _Handler(BaseHTTPRequestHandler):
     """Request handler bound to one :class:`QueryService` via the server."""
 
     protocol_version = "HTTP/1.1"
+    # A response goes out as two sends (headers, then body).  With Nagle
+    # on, the body waits for the client's ACK of the headers, which a
+    # delayed-ACK client holds for ~40 ms: every keep-alive answer would
+    # cost ~44 ms on loopback.  TCP_NODELAY sends both at once.
+    disable_nagle_algorithm = True
     service: QueryService  # injected by ServiceHttpServer
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002

@@ -288,7 +288,10 @@ class QueryService:
     reads additionally serialize on the store lock (the ``Store`` object
     itself is not thread-safe).  Snapshot isolation comes from the
     store's immutable segments plus refresh-and-retry on the compaction
-    delete window; see the module docstring.
+    delete window; see the module docstring.  The store's cached
+    :class:`~repro.store.index.StoreIndex` grows in place as new scans
+    are folded, so the service reads it only under the store lock and
+    every endpoint returns fresh lists, never the index's own sets.
     """
 
     def __init__(

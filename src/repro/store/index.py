@@ -1,34 +1,34 @@
 """Secondary indexes over a store's observations.
 
-One sequential pass over the segment files builds the three inverted
-views every serving workload needs:
+The index keeps the two inverted views the serving workloads need:
 
 * **engine ID → addresses** — which IPs ever answered with an engine ID
   (the §5 alias-resolution join key);
-* **address → observation history** — every sighting of one IP across
-  rounds, oldest first (the longitudinal point-query);
 * **device rollups** — per *device* (distinct engine ID) groupings by
   IANA enterprise number, by MAC-OUI vendor, and by the paper's final
   vendor verdict (:func:`repro.fingerprint.vendor.infer_vendor`), which
   back the Figure 11/12 censuses straight from the store.
 
-The index is an in-memory structure rebuilt from segments on demand and
-cached by the :class:`~repro.store.store.Store`; it holds no state of
-its own that could drift from the segment files, so compaction (which
-preserves every row) never invalidates it.
+There is no address → history view: :meth:`Store.history
+<repro.store.store.Store.history>` answers point queries from the
+segment footers.
+
+The index is append-only, like the store under it.  It records which
+``(round, label)`` scans it has folded, and the
+:class:`~repro.store.store.Store` that caches it folds each newly listed
+scan once.  Ingest only adds scans and compaction keeps every row, so
+neither invalidates it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import Iterable
 
 from repro.fingerprint.vendor import infer_vendor
 from repro.net.addresses import IPAddress
-from repro.snmp.engine_id import EngineId, EngineIdFormat
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.store.store import Store, StoredObservation
+from repro.scanner.records import ScanObservation
+from repro.snmp.engine_id import EngineId
 
 #: Rollup bucket for engine IDs too short to carry an enterprise number.
 NO_ENTERPRISE = -1
@@ -36,46 +36,62 @@ NO_ENTERPRISE = -1
 
 @dataclass
 class StoreIndex:
-    """Materialized inverted views over every stored observation."""
+    """Inverted views over every folded scan, grown one scan at a time.
+
+    Holders of an instance see it grow as :meth:`fold_scan` adds scans;
+    the views are mutated in place, never rebuilt.
+    """
 
     engine_to_ips: "dict[bytes, set[IPAddress]]" = field(default_factory=dict)
-    ip_history: "dict[IPAddress, list[StoredObservation]]" = field(
-        default_factory=dict
-    )
     devices_by_enterprise: "dict[int, set[bytes]]" = field(default_factory=dict)
     devices_by_oui: "dict[str, set[bytes]]" = field(default_factory=dict)
     devices_by_vendor: "dict[str, set[bytes]]" = field(default_factory=dict)
     rows_indexed: int = 0
+    #: The ``(round, label)`` scans folded so far.
+    folded: "set[tuple[int, str]]" = field(default_factory=set)
 
-    @classmethod
-    def build(cls, store: "Store") -> "StoreIndex":
-        """One pass over the store; vendor inference once per engine ID."""
-        index = cls()
-        engines: dict[bytes, EngineId] = {}
-        for stored in store.observations():
-            index.rows_indexed += 1
-            address = stored.observation.address
-            index.ip_history.setdefault(address, []).append(stored)
-            engine_id = stored.observation.engine_id
+    def fold_scan(
+        self,
+        round_id: int,
+        label: str,
+        observations: Iterable[ScanObservation],
+    ) -> None:
+        """Fold one scan's rows into the views, all or nothing.
+
+        Every row is read before any view changes, so a read that fails
+        part way (a compaction deleting a part: ``FileNotFoundError``)
+        leaves the index as it was and the scan unfolded.  Vendor
+        inference runs once per engine ID new to the index.
+        """
+        rows = 0
+        staged: dict[bytes, tuple[EngineId, set[IPAddress]]] = {}
+        for observation in observations:
+            rows += 1
+            engine_id = observation.engine_id
             if engine_id is None:
                 continue
-            raw = engine_id.raw
-            index.engine_to_ips.setdefault(raw, set()).add(address)
-            engines.setdefault(raw, engine_id)
-        for raw, engine_id in engines.items():
+            entry = staged.get(engine_id.raw)
+            if entry is None:
+                entry = staged[engine_id.raw] = (engine_id, set())
+            entry[1].add(observation.address)
+        for raw, (engine_id, addresses) in staged.items():
+            members = self.engine_to_ips.get(raw)
+            if members is not None:
+                members |= addresses
+                continue
+            self.engine_to_ips[raw] = addresses
             enterprise = (
                 engine_id.enterprise
                 if engine_id.enterprise is not None
                 else NO_ENTERPRISE
             )
-            index.devices_by_enterprise.setdefault(enterprise, set()).add(raw)
-            if engine_id.format is EngineIdFormat.MAC:
-                oui_vendor = infer_vendor(engine_id).oui_vendor
-                if oui_vendor is not None:
-                    index.devices_by_oui.setdefault(oui_vendor, set()).add(raw)
+            self.devices_by_enterprise.setdefault(enterprise, set()).add(raw)
             verdict = infer_vendor(engine_id)
-            index.devices_by_vendor.setdefault(verdict.vendor, set()).add(raw)
-        return index
+            if verdict.oui_vendor is not None:  # MAC-format IDs only
+                self.devices_by_oui.setdefault(verdict.oui_vendor, set()).add(raw)
+            self.devices_by_vendor.setdefault(verdict.vendor, set()).add(raw)
+        self.rows_indexed += rows
+        self.folded.add((round_id, label))
 
     @property
     def device_count(self) -> int:

@@ -39,6 +39,7 @@ class StoreQuery:
 
     @property
     def index(self) -> "StoreIndex":
+        """The store's live index; it grows in place as scans are folded."""
         return self._store.index()
 
     # -- point queries -----------------------------------------------------

@@ -25,9 +25,10 @@ tests in ``tests/store/``:
   answer does.
 
 Longitudinal state (the :class:`~repro.store.timeline.TimelineAccumulator`)
-is maintained *incrementally*: each new round is folded once, at the
-first ``timelines()`` call after its ingest, without re-reading older
-rounds.
+and the secondary :class:`~repro.store.index.StoreIndex` are maintained
+*incrementally*: each new round (timelines) or scan (index) is folded
+once, at the first ``timelines()`` / ``index()`` call after its ingest,
+without re-reading older rounds.
 """
 
 from __future__ import annotations
@@ -226,10 +227,12 @@ class Store:
 
         Returns ``True`` when the on-disk generation differs from the
         cached one.  On change, readers of segments no longer in the
-        catalogue are dropped and the index cache is discarded; the
-        timeline accumulator survives as long as every already-folded
-        round's scan set is unchanged (append-only stores only ever add
-        rounds/labels, so recurring refreshes stay incremental).
+        catalogue are dropped.  The caches survive as long as what they
+        folded is still listed: the index unless one of its folded scans
+        left the catalogue, the timeline accumulator unless an
+        already-folded round's scan set changed.  Append-only stores only
+        ever add rounds/labels, and compaction keeps every row, so
+        recurring refreshes stay incremental.
         """
         manifest = self._load_manifest()
         if manifest["generation"] == self._manifest["generation"]:
@@ -245,7 +248,12 @@ class Store:
         for name in list(self._readers):
             if name not in current:
                 del self._readers[name]
-        self._index = None
+        index = self._index
+        if index is not None and any(
+            label not in manifest["rounds"].get(str(rid), {})
+            for rid, label in index.folded
+        ):
+            self._index = None
         acc = self._timeline_acc
         if acc is not None:
             for rid in acc.folded_rounds:
@@ -530,11 +538,15 @@ class Store:
             for scan_label in self.labels(rid):
                 if label is not None and scan_label != label:
                     continue
-                for name in self._scan_entry(rid, scan_label)["segments"]:
-                    for obs in self._reader(name).observations():
-                        yield StoredObservation(
-                            round_id=rid, label=scan_label, observation=obs
-                        )
+                for obs in self._scan_rows(rid, scan_label):
+                    yield StoredObservation(
+                        round_id=rid, label=scan_label, observation=obs
+                    )
+
+    def _scan_rows(self, round_id: int, label: str) -> Iterator[ScanObservation]:
+        """One scan's rows in storage order, across all its parts."""
+        for name in self._scan_entry(round_id, label)["segments"]:
+            yield from self._reader(name).observations()
 
     def scan_result(self, round_id: int, label: str) -> ScanResult:
         """Rebuild one scan as a legacy :class:`ScanResult`."""
@@ -579,14 +591,25 @@ class Store:
         return StoreQuery(store=self)
 
     def index(self) -> StoreIndex:
-        """The secondary indexes, built on first use and cached.
+        """The secondary indexes, grown one scan at a time and cached.
 
-        Ingest invalidates the cache (new rows); compaction does not
-        (row set unchanged, so every indexed answer is too).
+        Each call folds only the scans the manifest lists that the index
+        has not folded yet, so after an ingest it decodes just the new
+        scan's rows.  Compaction keeps every row and leaves the index as
+        it is; :meth:`refresh` discards it only when a folded scan is no
+        longer listed.  A fold cut short by a part deleted under it
+        (``FileNotFoundError``, which :class:`~repro.service.query.QueryService`
+        retries after :meth:`refresh`) leaves its scan unfolded, so the
+        retried index equals one built from scratch.
         """
-        if self._index is None:
-            self._index = StoreIndex.build(self)
-        return self._index
+        index = self._index
+        if index is None:
+            index = self._index = StoreIndex()
+        for rid in self.rounds():
+            for label in self.labels(rid):
+                if (rid, label) not in index.folded:
+                    index.fold_scan(rid, label, self._scan_rows(rid, label))
+        return index
 
     # -- timelines ---------------------------------------------------------
 
@@ -609,12 +632,7 @@ class Store:
                 (
                     label,
                     self._scan_entry(rid, label)["started_at"],
-                    [
-                        stored.observation
-                        for stored in self.observations(
-                            round_id=rid, label=label
-                        )
-                    ],
+                    list(self._scan_rows(rid, label)),
                 )
                 for label in self.labels(rid)
             ]
@@ -622,8 +640,12 @@ class Store:
         return acc
 
     def _invalidate_round(self, round_id: int) -> None:
-        """Drop caches that a write into ``round_id`` stales."""
-        self._index = None
+        """Drop caches that a write into ``round_id`` stales.
+
+        Only the timeline accumulator can be stale, when ``round_id`` is
+        already folded.  The index never is: the new scan is one it has
+        not folded, and the next :meth:`index` call folds it.
+        """
         acc = self._timeline_acc
         if acc is not None and round_id in acc.folded_rounds:
             self._timeline_acc = None
@@ -669,11 +691,7 @@ class Store:
                 rows = write_segment(
                     merged_path,
                     meta,
-                    (
-                        obs
-                        for name in names
-                        for obs in self._reader(name).observations()
-                    ),
+                    self._scan_rows(rid, label),
                     block_rows=self.block_rows,
                 )
                 if rows != entry["rows"]:  # pragma: no cover - invariant

@@ -46,13 +46,17 @@ def make_scan(label, started_at, observations, *, ip_version=4):
 
 
 def synthetic_round(round_id: int, *, devices: int = 8) -> "list[ScanResult]":
-    """Two scans of ``devices`` stable engines; uptimes grow per round."""
+    """Two scans of ``devices`` stable engines; uptimes grow per round.
+
+    Device ``n`` answers on the ``n + 1``-th address of ``10.<round>.0.0/16``.
+    """
     start = 10_000.0 * round_id
+    base = ipaddress.ip_address(f"10.{round_id}.0.0")
     scans = []
     for pair, label in enumerate(("v4-1", "v4-2")):
         observations = [
             make_obs(
-                f"10.{round_id}.0.{n + 1}",
+                str(base + n + 1),
                 start + pair * 100.0,
                 make_engine(0x2000 + n),
                 boots=2,

@@ -1,8 +1,11 @@
 """The stdlib HTTP front-end: routing, status codes, lifecycle."""
 
+import http.client
 import json
+import time
 import urllib.error
 import urllib.request
+from statistics import median
 
 import pytest
 
@@ -105,6 +108,54 @@ class TestRateLimiting:
             assert fetch(server.address, "/v1/rounds?client=a")[0] == 200
             assert fetch(server.address, "/v1/rounds?client=b")[0] == 200
             assert fetch(server.address, "/v1/rounds?client=a")[0] == 429
+
+
+class TestKeepAlive:
+    def test_one_connection_serves_mixed_answers_without_stalls(
+        self, tmp_path
+    ):
+        """Twenty requests over one keep-alive connection: small and
+        large (over 8 KB) answers and errors all frame correctly, the
+        socket is never replaced, and no answer waits on a delayed ACK
+        (~44 ms each when headers and body leave as two Nagle-held
+        sends)."""
+        service = QueryService(
+            store=populate(tmp_path / "obs", rounds=1, devices=600)
+        )
+        mix = [
+            ("/v1/rounds", 200),
+            ("/v1/engine-ids", 200),
+            ("/v1/nope", 404),
+            ("/v1/round-summary?arg=zzz", 400),
+        ]
+        with ServiceHttpServer(service=service, port=0) as server:
+            server.start()
+            conn = http.client.HTTPConnection(*server.address, timeout=10)
+            try:
+                round_trips = []
+                sizes = {}
+                sock = None
+                for path, expected in mix * 5:
+                    started = time.perf_counter()
+                    conn.request("GET", path)
+                    response = conn.getresponse()
+                    raw = response.read()
+                    round_trips.append(time.perf_counter() - started)
+                    assert response.status == expected, path
+                    body = json.loads(raw)
+                    assert ("value" in body) == (expected == 200)
+                    sizes[path] = len(raw)
+                    if sock is None:
+                        sock = conn.sock
+                    assert conn.sock is sock  # never reconnected
+                conn.request("GET", "/healthz")
+                assert json.loads(conn.getresponse().read())["status"] == "ok"
+                assert conn.sock is sock
+            finally:
+                conn.close()
+        assert sizes["/v1/rounds"] < 100
+        assert sizes["/v1/engine-ids"] > 8192
+        assert median(round_trips) < 0.020
 
 
 class TestLifecycle:

@@ -117,9 +117,12 @@ class TestIndexMaintenance:
             [make_obs("10.0.9.9", 40_000.0, make_engine(9))],
             round_id=9, label="s-1", ip_version=4, started_at=40_000.0,
         )
-        rebuilt = store.index()
-        assert rebuilt is not first
-        assert make_engine(9).raw in rebuilt.engine_to_ips
+        grown = store.index()
+        # Ingest keeps the cached index; the next call folds the new
+        # scan into it in place.
+        assert grown is first
+        assert (9, "s-1") in grown.folded
+        assert make_engine(9).raw in grown.engine_to_ips
 
     def test_rows_indexed_matches_store(self, populated):
         store, __ = populated
