@@ -21,6 +21,17 @@ path can produce (property-tested in ``tests/scanner/test_wire.py``).
 A typical discovery batch shrinks well over 3x versus per-instance
 pickling — measured by ``benchmarks/test_bench_parallel.py``.
 
+Two decoders share one frame parser, which validates the whole blob
+and locates its columns before any row is built.
+:func:`decode_observations` materialises every row.  The point decoder
+:func:`find_observation`, which serves the store's ``history`` lookups,
+searches the raw address column for one key and materialises only the
+matching row.  For any blob and address it answers like decoding
+everything and keeping the first row at that address, and it rejects
+exactly the blobs :func:`decode_observations` rejects.  Integer width
+codes other than ``b``/``h``/``i``/``q`` and the bigint escape are
+rejected, not passed to :mod:`struct`.
+
 Blobs are a pure function of observation content and batch boundaries —
 both of which the staged batch pipeline reproduces exactly (executor
 ``batch_size`` chunking is independent of the probe-loop shape) — so
@@ -33,8 +44,11 @@ from __future__ import annotations
 
 import ipaddress
 import struct
-from typing import Sequence
+from bisect import bisect_left
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
+from repro.net.addresses import IPAddress
 from repro.scanner.records import ScanObservation
 from repro.snmp.engine_id import EngineId
 
@@ -53,9 +67,21 @@ _INT_CODES: tuple[tuple[str, int, int], ...] = (
 )
 #: Column code for the length-prefixed bigint fallback.
 _BIGINT = 0xFF
+#: Width-code byte -> item size of that fixed-width integer column; 0
+#: marks a byte that is no fixed-width code.
+_INT_SIZES = bytes(
+    struct.calcsize("<" + chr(byte)) if chr(byte) in {code for code, __, __ in _INT_CODES} else 0
+    for byte in range(256)
+)
+#: Flag byte -> its IPv6 bit, its parsed bit, its row's address width;
+#: tables for ``bytes.translate`` so whole columns are counted in C.
+_V6_BIT = bytes(flag & _FLAG_V6 for flag in range(256))
+_PARSED_BIT = bytes(flag & _FLAG_PARSED for flag in range(256))
+_ADDRESS_WIDTH = bytes(16 if flag & _FLAG_V6 else 4 for flag in range(256))
 
 _HEADER = struct.Struct("<BI")
 _U16 = struct.Struct("<H")
+_F64 = struct.Struct("<d")
 
 
 class WireFormatError(ValueError):
@@ -82,30 +108,6 @@ def _encode_int_column(values: "list[int]") -> bytes:
         parts.append(_U16.pack(width))
         parts.append(value.to_bytes(width, "big", signed=True))
     return b"".join(parts)
-
-
-def _decode_int_column(blob: bytes, offset: int, count: int) -> "tuple[list[int], int]":
-    if offset >= len(blob):
-        raise WireFormatError("truncated integer column")
-    code = blob[offset]
-    offset += 1
-    if code != _BIGINT:
-        fmt = struct.Struct(f"<{count}{chr(code)}")
-        end = offset + fmt.size
-        if end > len(blob):
-            raise WireFormatError("truncated integer column body")
-        return list(fmt.unpack(blob[offset:end])), end
-    values: "list[int]" = []
-    for __ in range(count):
-        if offset + 2 > len(blob):
-            raise WireFormatError("truncated bigint length")
-        (width,) = _U16.unpack_from(blob, offset)
-        offset += 2
-        if offset + width > len(blob):
-            raise WireFormatError("truncated bigint body")
-        values.append(int.from_bytes(blob[offset : offset + width], "big", signed=True))
-        offset += width
-    return values, offset
 
 
 def encode_observations(observations: "Sequence[ScanObservation]") -> bytes:
@@ -150,8 +152,82 @@ def encode_observations(observations: "Sequence[ScanObservation]") -> bytes:
     )
 
 
-def decode_observations(blob: bytes) -> "list[ScanObservation]":
-    """Unpack a columnar blob back into observation records."""
+class _IntColumn(NamedTuple):
+    """One validated integer column: fixed-width, or decoded bigints."""
+
+    #: ``struct`` code of a fixed-width column; empty for the bigint escape.
+    code: str
+    #: Offset of the column's first value.
+    offset: int
+    #: Every value of a bigint column (the frame walk decodes them).
+    bigints: "tuple[int, ...]"
+
+    def values(self, blob: bytes, count: int) -> "Sequence[int]":
+        if not self.code:
+            return self.bigints
+        return struct.unpack_from(f"<{count}{self.code}", blob, self.offset)
+
+    def value(self, blob: bytes, row: int) -> int:
+        if not self.code:
+            return self.bigints[row]
+        fmt = "<" + self.code
+        return struct.unpack_from(fmt, blob, self.offset + row * struct.calcsize(fmt))[0]
+
+
+class _Frame(NamedTuple):
+    """Where the columns of one validated blob live."""
+
+    count: int
+    flags: bytes
+    #: How many rows are IPv6.
+    v6_rows: int
+    #: Offset of each row's address, in row order.
+    addresses: "Sequence[int]"
+    #: Offset of the receive-time column, which ends the address column.
+    times: int
+    #: Boots, engine time, response count, wire bytes.
+    ints: "tuple[_IntColumn, ...]"
+    #: Offset of each parsed row's engine-ID length prefix, then the blob
+    #: end: engine ID ``k`` is ``blob[ids[k] + 2 : ids[k + 1]]``.
+    engine_ids: "list[int]"
+
+
+def _int_column(blob: bytes, offset: int, count: int) -> "tuple[_IntColumn, int]":
+    """Validate the integer column at ``offset``; returns it and its end."""
+    if offset >= len(blob):
+        raise WireFormatError("truncated integer column")
+    code = blob[offset]
+    offset += 1
+    if code == _BIGINT:
+        start = offset
+        values: "list[int]" = []
+        for __ in range(count):
+            if offset + 2 > len(blob):
+                raise WireFormatError("truncated bigint length")
+            (width,) = _U16.unpack_from(blob, offset)
+            offset += 2
+            if offset + width > len(blob):
+                raise WireFormatError("truncated bigint body")
+            values.append(int.from_bytes(blob[offset : offset + width], "big", signed=True))
+            offset += width
+        return _IntColumn("", start, tuple(values)), offset
+    size = _INT_SIZES[code]
+    if not size:
+        raise WireFormatError(f"unknown integer width code {code:#04x}")
+    end = offset + size * count
+    if end > len(blob):
+        raise WireFormatError("truncated integer column body")
+    return _IntColumn(chr(code), offset, ()), end
+
+
+def _parse_frame(blob: bytes) -> _Frame:
+    """Validate a whole blob and locate its columns, decoding no row.
+
+    The one column walk behind both decoders: every check that can
+    reject a blob happens here, so :func:`decode_observations` and
+    :func:`find_observation` reject exactly the same blobs.  Only the
+    variable-width columns (bigints, engine IDs) are walked row by row.
+    """
     if len(blob) < _HEADER.size:
         raise WireFormatError("truncated batch header")
     version, count = _HEADER.unpack_from(blob, 0)
@@ -162,38 +238,68 @@ def decode_observations(blob: bytes) -> "list[ScanObservation]":
     if len(flags) != count:
         raise WireFormatError("truncated flags column")
     offset += count
-    addresses: "list[ipaddress.IPv4Address | ipaddress.IPv6Address]" = []
-    for flag in flags:
-        width = 16 if flag & _FLAG_V6 else 4
-        if offset + width > len(blob):
-            raise WireFormatError("truncated address column")
-        raw = blob[offset : offset + width]
-        offset += width
-        if flag & _FLAG_V6:
-            addresses.append(ipaddress.IPv6Address(raw))
-        else:
-            addresses.append(ipaddress.IPv4Address(raw))
-    times_fmt = struct.Struct(f"<{count}d")
-    if offset + times_fmt.size > len(blob):
+    v6_rows = flags.translate(_V6_BIT).count(_FLAG_V6)
+    addresses: "Sequence[int]"
+    if v6_rows in (0, count):
+        width = 16 if v6_rows else 4
+        addresses = range(offset, offset + width * count, width)
+    else:
+        addresses = list(accumulate(flags[:-1].translate(_ADDRESS_WIDTH), initial=offset))
+    offset += 4 * count + 12 * v6_rows
+    if offset > len(blob):
+        raise WireFormatError("truncated address column")
+    times = offset
+    offset += 8 * count
+    if offset > len(blob):
         raise WireFormatError("truncated receive-time column")
-    recv_times = times_fmt.unpack_from(blob, offset)
-    offset += times_fmt.size
-    boots, offset = _decode_int_column(blob, offset, count)
-    etimes, offset = _decode_int_column(blob, offset, count)
-    responses, offset = _decode_int_column(blob, offset, count)
-    wire_bytes, offset = _decode_int_column(blob, offset, count)
+    ints = []
+    for __ in range(4):
+        column, offset = _int_column(blob, offset, count)
+        ints.append(column)
+    engine_ids = [offset]
+    append = engine_ids.append
+    try:
+        for __ in range(flags.translate(_PARSED_BIT).count(_FLAG_PARSED)):
+            offset += 2 + blob[offset] + (blob[offset + 1] << 8)
+            append(offset)
+    except IndexError:
+        raise WireFormatError("truncated engine-ID column") from None
+    if offset > len(blob):
+        raise WireFormatError("truncated engine-ID body")
+    if offset != len(blob):
+        raise WireFormatError("trailing bytes after observation batch")
+    return _Frame(count, flags, v6_rows, addresses, times, tuple(ints), engine_ids)
+
+
+def decode_observations(blob: bytes) -> "list[ScanObservation]":
+    """Unpack a columnar blob back into observation records."""
+    frame = _parse_frame(blob)
+    count, flags = frame.count, frame.flags
+    addresses: "list[ipaddress.IPv4Address | ipaddress.IPv6Address]"
+    if count and not frame.v6_rows:
+        # All-IPv4 (every store block of that family): one C-level unpack.
+        addresses = list(
+            map(ipaddress.IPv4Address, struct.unpack_from(f">{count}I", blob, frame.addresses[0]))
+        )
+    else:
+        addresses = [
+            ipaddress.IPv6Address(blob[start : start + 16])
+            if flag & _FLAG_V6
+            else ipaddress.IPv4Address(blob[start : start + 4])
+            for flag, start in zip(flags, frame.addresses)
+        ]
+    recv_times = struct.unpack_from(f"<{count}d", blob, frame.times)
+    boots, etimes, responses, wire_bytes = (
+        column.values(blob, count) for column in frame.ints
+    )
+    ids = frame.engine_ids
+    parsed = 0
     observations: "list[ScanObservation]" = []
-    for row in range(count):
+    for row, flag in enumerate(flags):
         engine_id = None
-        if flags[row] & _FLAG_PARSED:
-            if offset + 2 > len(blob):
-                raise WireFormatError("truncated engine-ID length")
-            (width,) = _U16.unpack_from(blob, offset)
-            offset += 2
-            if offset + width > len(blob):
-                raise WireFormatError("truncated engine-ID body")
-            engine_id = EngineId(blob[offset : offset + width])
-            offset += width
+        if flag & _FLAG_PARSED:
+            engine_id = EngineId(blob[ids[parsed] + 2 : ids[parsed + 1]])
+            parsed += 1
         observations.append(
             ScanObservation(
                 address=addresses[row],
@@ -205,9 +311,59 @@ def decode_observations(blob: bytes) -> "list[ScanObservation]":
                 wire_bytes=wire_bytes[row],
             )
         )
-    if offset != len(blob):
-        raise WireFormatError("trailing bytes after observation batch")
     return observations
+
+
+def find_observation(blob: bytes, address: IPAddress) -> "ScanObservation | None":
+    """The first row of ``blob`` at ``address``, or ``None``; one row decoded.
+
+    Equal to the first ``o`` in ``decode_observations(blob)`` with
+    ``o.address == address``, and raises :class:`WireFormatError` on
+    exactly the blobs that :func:`decode_observations` rejects (both
+    validate through :func:`_parse_frame`).  The key is searched in the
+    raw address column and a hit counts only at a row start of the
+    key's family, so an IPv4 key never matches inside an IPv6 row or
+    across two rows.  Only the matching row is materialised.
+    """
+    frame = _parse_frame(blob)
+    if getattr(address, "scope_id", None) is not None:
+        return None  # decoded rows carry no IPv6 scope, so none equals the key
+    key = address.packed
+    family = _FLAG_V6 if address.version == 6 else 0
+    starts = frame.addresses
+    hit = blob.find(key, _HEADER.size + frame.count, frame.times)
+    while hit != -1:
+        row = bisect_left(starts, hit)
+        if row < frame.count and starts[row] == hit and frame.flags[row] & _FLAG_V6 == family:
+            return _decode_row(blob, frame, row)
+        hit = blob.find(key, hit + 1, frame.times)
+    return None
+
+
+def _decode_row(blob: bytes, frame: _Frame, row: int) -> ScanObservation:
+    flag = frame.flags[row]
+    start = frame.addresses[row]
+    address: "ipaddress.IPv4Address | ipaddress.IPv6Address"
+    if flag & _FLAG_V6:
+        address = ipaddress.IPv6Address(blob[start : start + 16])
+    else:
+        address = ipaddress.IPv4Address(blob[start : start + 4])
+    engine_id = None
+    if flag & _FLAG_PARSED:
+        ids = frame.engine_ids
+        parsed = frame.flags[:row].translate(_PARSED_BIT).count(_FLAG_PARSED)
+        engine_id = EngineId(blob[ids[parsed] + 2 : ids[parsed + 1]])
+    boots, etime, responses, wire_bytes = (column.value(blob, row) for column in frame.ints)
+    (recv_time,) = _F64.unpack_from(blob, frame.times + 8 * row)
+    return ScanObservation(
+        address=address,
+        recv_time=recv_time,
+        engine_id=engine_id,
+        engine_boots=boots,
+        engine_time=etime,
+        response_count=responses,
+        wire_bytes=wire_bytes,
+    )
 
 
 __all__ = [
@@ -215,4 +371,5 @@ __all__ = [
     "WireFormatError",
     "decode_observations",
     "encode_observations",
+    "find_observation",
 ]

@@ -30,6 +30,7 @@ advance on that same clock.
 
 from __future__ import annotations
 
+import ipaddress
 import os
 import threading
 from collections import OrderedDict
@@ -196,7 +197,11 @@ def _endpoint_history(
 ) -> object:
     if arg is None:
         raise ServiceError("history requires an address argument")
-    return [_serialize_observation(s) for s in query.history(arg)]
+    try:
+        address = ipaddress.ip_address(arg)
+    except ValueError:
+        raise ServiceError(f"invalid address {arg!r}") from None
+    return [_serialize_observation(s) for s in query.history(address)]
 
 
 def _endpoint_reboot_events(

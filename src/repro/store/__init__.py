@@ -8,11 +8,12 @@ and all of the follow-up work are built on *corpora* of repeated scan
 rounds.  This package is that corpus layer:
 
 * :mod:`repro.store.segment` — immutable, deterministic segment files
-  (the :mod:`repro.scanner.wire` columnar codec plus a footer index);
+  (the :mod:`repro.scanner.wire` columnar codec plus a footer index)
+  and the one-row point lookups behind an address's history;
 * :mod:`repro.store.store` — the :class:`Store`: append-only rounds,
   streaming ingest from campaigns or JSONL backfills, compaction;
 * :mod:`repro.store.index` — inverted indexes (engine ID → IPs,
-  IP → history, enterprise/OUI/vendor → devices);
+  enterprise/OUI/vendor → devices);
 * :mod:`repro.store.timeline` — incremental device timelines (reboot
   events, uptime ECDF inputs, engine-ID churn, alias-set diffs);
 * :mod:`repro.store.query` — :class:`StoreQuery`, the read surface.

@@ -2,8 +2,8 @@
 
 :class:`StoreQuery` is the blessed serving surface over a
 :class:`~repro.store.store.Store` — everything a downstream consumer
-(the CLI verbs, the future query service) needs, backed by the segment
-footer indexes for point lookups and the in-memory
+(the CLI verbs, the query service) needs, backed by the segments'
+point decoder for address lookups and the in-memory
 :class:`~repro.store.index.StoreIndex` for inverted queries.  Query
 answers are pure functions of the stored rounds: compaction and ingest
 parallelism never change them (property-tested in ``tests/store/``).
@@ -47,8 +47,10 @@ class StoreQuery:
     def history(self, address: "IPAddress | str") -> "list[StoredObservation]":
         """Every sighting of one address, oldest round first.
 
-        Served from the segment footer indexes — only blocks whose
-        address range covers the key are decoded.
+        Served from the segments by :meth:`Store.history`, which builds
+        one row per scan that saw the address and decodes no other row.
+        A string is parsed with :func:`ipaddress.ip_address`, which
+        raises ``ValueError`` if it is malformed.
         """
         if isinstance(address, str):
             address = ipaddress.ip_address(address)

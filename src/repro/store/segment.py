@@ -35,7 +35,11 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.net.addresses import IPAddress
 from repro.scanner.records import ScanObservation
-from repro.scanner.wire import decode_observations, encode_observations
+from repro.scanner.wire import (
+    decode_observations,
+    encode_observations,
+    find_observation,
+)
 
 #: Segment format version, bumped on any incompatible layout change.
 SEGMENT_VERSION = 1
@@ -186,8 +190,10 @@ class SegmentReader:
     """Random- and sequential-access view over one segment file.
 
     The constructor reads only the head (meta) and the footer index;
-    block bytes are fetched and decoded on demand, so a point lookup
-    touches just the blocks whose address range covers the key.
+    block bytes are fetched on demand.  A point lookup reads the blocks
+    whose footer address range covers the key — with rows in probe
+    order, that is every block of the key's family — and validates each
+    in full, but builds only the matching row.
     """
 
     def __init__(self, path: "str | Path") -> None:
@@ -242,32 +248,40 @@ class SegmentReader:
     def rows(self) -> int:
         return sum(block.rows for block in self.blocks)
 
-    def read_block(self, block: BlockInfo) -> list[ScanObservation]:
+    def _blobs(self, blocks: Iterable[BlockInfo]) -> Iterator[bytes]:
+        """The raw wire blobs of ``blocks``, read through one file handle."""
         with self.path.open("rb") as handle:
-            handle.seek(block.offset)
-            blob = handle.read(block.length)
-        if len(blob) != block.length:
-            raise SegmentError("truncated segment block")
-        return decode_observations(blob)
-
-    def observations(self) -> Iterator[ScanObservation]:
-        """All rows in block order, decoded one block at a time."""
-        with self.path.open("rb") as handle:
-            for block in self.blocks:
+            for block in blocks:
                 handle.seek(block.offset)
                 blob = handle.read(block.length)
                 if len(blob) != block.length:
                     raise SegmentError("truncated segment block")
-                yield from decode_observations(blob)
+                yield blob
+
+    def read_block(self, block: BlockInfo) -> list[ScanObservation]:
+        (blob,) = self._blobs((block,))
+        return decode_observations(blob)
+
+    def observations(self) -> Iterator[ScanObservation]:
+        """All rows in block order, decoded one block at a time."""
+        for blob in self._blobs(self.blocks):
+            yield from decode_observations(blob)
 
     def lookup(self, address: IPAddress) -> "ScanObservation | None":
-        """Point lookup via the footer index; decodes candidate blocks only."""
-        for block in self.blocks:
-            if not block.may_contain(address):
-                continue
-            for observation in self.read_block(block):
-                if observation.address == address:
-                    return observation
+        """The first row at ``address``, or ``None``; builds at most one row.
+
+        Blocks whose footer range excludes the key are skipped unread.
+        Each other block is validated in full and searched in its raw
+        address column (:func:`repro.scanner.wire.find_observation`), so
+        a corrupt block still raises although only the match is built.
+        """
+        candidates = [block for block in self.blocks if block.may_contain(address)]
+        if not candidates:
+            return None  # every block pruned: the file is not even opened
+        for blob in self._blobs(candidates):
+            found = find_observation(blob, address)
+            if found is not None:
+                return found
         return None
 
 

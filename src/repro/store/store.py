@@ -565,8 +565,11 @@ class Store:
     def history(self, address: IPAddress) -> "list[StoredObservation]":
         """Every stored observation of one address, oldest first.
 
-        Uses the segment footer indexes: only blocks whose address range
-        covers the key are read and decoded.
+        Each part's footer skips the blocks whose address range excludes
+        the key.  With rows in probe order, only the other family's
+        blocks are skipped.  Every other block is validated in full and
+        searched in its raw address column, so a lookup builds at most
+        one row per scan (:meth:`SegmentReader.lookup`).
         """
         sightings: list[StoredObservation] = []
         for rid in self.rounds():

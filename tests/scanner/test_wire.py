@@ -1,10 +1,12 @@
 """Round-trip tests for the columnar IPC observation format."""
 
+import dataclasses
 import ipaddress
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.scanner.records import ScanObservation
 from repro.scanner.wire import (
@@ -12,6 +14,7 @@ from repro.scanner.wire import (
     WireFormatError,
     decode_observations,
     encode_observations,
+    find_observation,
 )
 from repro.snmp.engine_id import EngineId
 
@@ -129,3 +132,202 @@ class TestMalformedBlobs:
         blob = encode_observations([_obs()])
         with pytest.raises(WireFormatError, match="trailing"):
             decode_observations(blob + b"\x00")
+
+
+#: Header bytes before the flags column: version byte + u32 row count.
+HEADER = 5
+
+
+def scan_for(rows, address):
+    """The reference answer: decode everything, keep the first match."""
+    return next((row for row in rows if row.address == address), None)
+
+
+def same_row(found, expected):
+    """Row equality that also holds for a NaN receive time (a flipped
+    byte can make one, and ``nan != nan``): equal rows encode alike."""
+    if found is None or expected is None:
+        return found is expected
+    return encode_observations([found]) == encode_observations([expected])
+
+
+def outcome(decoder, blob, *args):
+    """``("ok", value)`` or ``("rejected", None)``; any other exception escapes."""
+    try:
+        return "ok", decoder(blob, *args)
+    except WireFormatError:
+        return "rejected", None
+
+
+class TestIntegerWidthCodes:
+    @pytest.mark.parametrize("column", range(4))
+    def test_every_width_code_byte(self, column):
+        """Only ``b``/``h``/``i``/``q`` and the bigint escape are codes;
+        any other byte is a :class:`WireFormatError` in both decoders."""
+        batch = [
+            _obs(engine_boots=1, engine_time=2, response_count=3, wire_bytes=4),
+            _obs(address="192.0.2.9", engine_boots=-5, engine_time=6,
+                 response_count=7, wire_bytes=8),
+        ]
+        blob = encode_observations(batch)
+        rows = len(batch)
+        # Every integer column above is int8: a code byte + one byte a row.
+        position = HEADER + rows + 4 * rows + 8 * rows + column * (1 + rows)
+        assert blob[position] == ord("b")
+        key = batch[1].address
+        for code in range(256):
+            bad = blob[:position] + bytes([code]) + blob[position + 1:]
+            decoded = outcome(decode_observations, bad)
+            found = outcome(find_observation, bad, key)
+            if code not in b"bhiq\xff":
+                assert decoded[0] == found[0] == "rejected", code
+            elif decoded[0] == "ok":
+                assert found[0] == "ok", code
+                assert same_row(found[1], scan_for(decoded[1], key)), code
+            else:
+                assert found[0] == "rejected", code
+        assert decode_observations(blob) == batch
+
+
+class TestFindObservation:
+    def test_every_row_is_found(self):
+        rng = random.Random(11)
+        batch = [_random_obs(rng) for __ in range(40)]
+        blob = encode_observations(batch)
+        for obs in batch:
+            assert find_observation(blob, obs.address) == scan_for(batch, obs.address)
+        assert find_observation(blob, ipaddress.ip_address("203.0.113.1")) is None
+
+    def test_first_match_wins(self):
+        batch = [
+            _obs(address="192.0.2.1", engine_boots=1),
+            _obs(address="192.0.2.1", engine_boots=2),
+        ]
+        assert find_observation(encode_observations(batch), batch[0].address) == batch[0]
+
+    def test_ipv4_key_never_matches_inside_an_ipv6_row(self):
+        """``::10.0.0.1`` holds 10.0.0.1 in its last four bytes and
+        0.0.0.0 at its row start; neither is an IPv4 row."""
+        batch = [
+            _obs(address="::10.0.0.1"),
+            _obs(address="198.51.100.1", engine_id=None),
+        ]
+        blob = encode_observations(batch)
+        for key in ("10.0.0.1", "0.0.0.0"):
+            assert find_observation(blob, ipaddress.ip_address(key)) is None
+        assert find_observation(blob, ipaddress.ip_address("::10.0.0.1")) == batch[0]
+        tail = batch + [_obs(address="10.0.0.1", engine_boots=9)]
+        assert find_observation(
+            encode_observations(tail), ipaddress.ip_address("10.0.0.1")
+        ) == tail[2]
+
+    def test_key_straddling_two_rows_is_no_match(self):
+        batch = [_obs(address="1.2.3.4"), _obs(address="5.6.7.8")]
+        blob = encode_observations(batch)
+        assert find_observation(blob, ipaddress.ip_address("3.4.5.6")) is None
+
+    def test_scoped_ipv6_key_matches_no_decoded_row(self):
+        batch = [_obs(address="fe80::1")]
+        blob = encode_observations(batch)
+        scoped = ipaddress.ip_address("fe80::1%eth0")
+        assert scan_for(decode_observations(blob), scoped) is None
+        assert find_observation(blob, scoped) is None
+
+    def test_malformed_blobs_rejected(self):
+        blob = encode_observations([_obs(), _obs(address="2001:db8::9")])
+        key = ipaddress.ip_address("192.0.2.1")
+        for bad in (b"\x01", blob[:-1], blob + b"\x00"):
+            with pytest.raises(WireFormatError):
+                find_observation(bad, key)
+
+
+# -- point decoder properties ----------------------------------------------------
+
+_V4 = st.integers(0, 2**32 - 1).map(ipaddress.IPv4Address)
+#: Half the IPv6 draws fit in 32 bits, so their rows embed IPv4 keys.
+_V6 = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**128 - 1)).map(
+    ipaddress.IPv6Address
+)
+_FAMILIES = {"mixed": st.one_of(_V4, _V6), "v4": _V4, "v6": _V6}
+_INTS = st.one_of(
+    st.integers(-(2**7), 2**7 - 1),
+    st.integers(-(2**40), 2**40),
+    st.integers(-(2**100), 2**100),  # the bigint escape
+)
+
+
+@st.composite
+def batches(draw):
+    """Like ``_random_obs`` batches: one family or both, or empty; parsed
+    and unparsed rows; int8 up to bigint columns; repeated addresses."""
+    family = _FAMILIES[draw(st.sampled_from(sorted(_FAMILIES)))]
+    rows = draw(
+        st.lists(
+            st.builds(
+                ScanObservation,
+                address=family,
+                recv_time=st.floats(allow_nan=False),
+                engine_id=st.none() | st.binary(max_size=40).map(EngineId),
+                engine_boots=_INTS,
+                engine_time=_INTS,
+                response_count=_INTS,
+                wire_bytes=_INTS,
+            ),
+            max_size=12,
+        )
+    )
+    pairs = st.tuples(st.integers(0, 11), st.integers(0, 11))
+    for source, target in draw(st.lists(pairs, max_size=3)):
+        if source < target < len(rows):
+            rows[target] = dataclasses.replace(rows[target], address=rows[source].address)
+    return rows
+
+
+def cut_keys(blob, batch):
+    """Every 4- and 16-byte window of the packed address column, at
+    every offset: row starts of the other family, unaligned cuts and
+    windows straddling two rows."""
+    start = HEADER + len(batch)
+    column = blob[start : start + sum(len(obs.address.packed) for obs in batch)]
+    return [
+        cls(column[offset : offset + width])
+        for cls, width in ((ipaddress.IPv4Address, 4), (ipaddress.IPv6Address, 16))
+        for offset in range(len(column) - width + 1)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=batches(), absent=st.lists(st.one_of(_V4, _V6), max_size=4))
+def test_point_decoder_equals_decode_then_scan(batch, absent):
+    blob = encode_observations(batch)
+    rows = decode_observations(blob)
+    keys = [obs.address for obs in batch] + absent + cut_keys(blob, batch)
+    for key in keys:
+        assert find_observation(blob, key) == scan_for(rows, key), key
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=batches(), data=st.data())
+def test_point_decoder_rejects_exactly_what_decode_rejects(batch, data):
+    """Every truncation, one flip at every byte and one trailing byte:
+    the point decoder raises iff ``decode_observations`` does, and on a
+    blob both accept it still answers like decode-then-scan."""
+    blob = encode_observations(batch)
+    masks = data.draw(st.binary(min_size=len(blob), max_size=len(blob)))
+    damaged = [blob[:cut] for cut in range(len(blob))]
+    damaged += [
+        blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
+        for at, mask in enumerate(masks)
+        if mask
+    ]
+    damaged.append(blob + data.draw(st.binary(min_size=1, max_size=1)))
+    keys = [obs.address for obs in batch[:2]] + [ipaddress.ip_address("192.0.2.1")]
+    for bad in damaged:
+        decoded = outcome(decode_observations, bad)
+        for key in keys:
+            found = outcome(find_observation, bad, key)
+            if decoded[0] == "rejected":
+                assert found[0] == "rejected", bad
+            else:
+                assert found[0] == "ok", bad
+                assert same_row(found[1], scan_for(decoded[1], key)), bad

@@ -157,6 +157,28 @@ class TestKeepAlive:
         assert sizes["/v1/engine-ids"] > 8192
         assert median(round_trips) < 0.020
 
+    def test_bad_history_address_is_400_and_keeps_the_connection(
+        self, server
+    ):
+        """A malformed address is answered, not dropped: the socket
+        serves the next request."""
+        conn = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            conn.request("GET", "/v1/history?arg=not-an-ip")
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 400
+            assert "invalid address" in body["error"]
+            sock = conn.sock
+            conn.request("GET", "/v1/history?arg=10.1.0.1")
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 200
+            assert [row["round"] for row in body["value"]] == [1, 1]
+            assert conn.sock is sock
+        finally:
+            conn.close()
+
 
 class TestLifecycle:
     def test_close_is_idempotent_and_releases_the_port(self, tmp_path):

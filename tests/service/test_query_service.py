@@ -66,6 +66,17 @@ class TestEndpoints:
         assert [row["label"] for row in value] == ["v4-1", "v4-2"]
         assert all(isinstance(row["engine_id"], str) for row in value)
 
+    def test_history_rejects_a_malformed_address(self, tmp_path):
+        service = QueryService(store=populate(tmp_path / "obs"))
+        with pytest.raises(ServiceError, match="invalid address"):
+            service.request("history", "not-an-ip")
+        service.request("history", "10.1.0.1")
+        history = service.metrics_summary()["endpoints"]["history"]
+        assert history["errors"] == 1
+        assert history["requests"] == 2 == (
+            history["hits"] + history["misses"] + history["errors"] + history["shed"]
+        )
+
     def test_unknown_endpoint_lists_known_ones(self, service):
         with pytest.raises(ServiceError, match="unknown endpoint 'nope'"):
             service.request("nope")

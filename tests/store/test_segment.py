@@ -1,10 +1,13 @@
 """Segment file format: round trips, footer pruning, corruption handling."""
 
 import ipaddress
+import random
 import struct
 
 import pytest
 
+from repro.scanner import wire
+from repro.scanner.wire import WireFormatError
 from repro.store.segment import (
     SegmentError,
     SegmentMeta,
@@ -98,6 +101,53 @@ class TestFooterIndex:
             addresses = [int(o.address) for o in decoded]
             assert block.min_address == min(addresses)
             assert block.max_address == max(addresses)
+
+
+class TestPointLookup:
+    def test_lookup_builds_at_most_one_row(self, tmp_path, monkeypatch):
+        """Rows in probe order: every block's footer range spans the
+        family, so nothing is pruned, yet one lookup builds one row."""
+        path = tmp_path / "a.seg"
+        rows = sample_rows(40)
+        random.Random(3).shuffle(rows)
+        write_segment(path, META, rows, block_rows=10)
+        reader = SegmentReader(path)
+        assert len(reader.blocks) == 4
+        assert sum(
+            all(block.may_contain(row.address) for block in reader.blocks)
+            for row in rows
+        ) >= 20
+        built = []
+        real = wire.ScanObservation
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("address"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wire, "ScanObservation", counting)
+        for row in rows:
+            built.clear()
+            assert reader.lookup(row.address) == row
+            assert len(built) <= 1
+        built.clear()
+        assert reader.lookup(ipaddress.ip_address("10.1.0.200")) is None
+        assert built == []
+
+    def test_corrupt_candidate_block_still_raises(self, tmp_path):
+        """The point decoder validates each block it reads in full."""
+        path = tmp_path / "a.seg"
+        rows = sample_rows(21)
+        absent = rows.pop(15).address  # inside the last block's range
+        write_segment(path, META, rows, block_rows=10)
+        reader = SegmentReader(path)
+        last = reader.blocks[-1]
+        data = bytearray(path.read_bytes())
+        data[last.offset] = 99  # the wire version byte of the last block
+        path.write_bytes(bytes(data))
+        reader = SegmentReader(path)
+        assert reader.lookup(ipaddress.ip_address("10.1.0.1")) is not None
+        with pytest.raises(WireFormatError):
+            reader.lookup(absent)
 
 
 class TestCorruption:
