@@ -20,10 +20,10 @@ in ``BENCH_campaign.json`` at the repo root:
 * the lazy tier gap: end-to-end pps at ~930k targets must stay within
   ``TIER_GAP_CEILING`` of the ~93k tier (the 21k→13k sag, gated).
 
-Identity is part of the contract, not a separate suite: the legacy
-loop, the batch pipeline, the multi-worker run, and the lazy and eager
-streamed worlds must all produce byte-identical scans before any
-throughput number is recorded.
+Identity is part of the contract, not a separate suite: the serial
+reps, the multi-worker run, and the lazy and eager streamed worlds must
+all produce byte-identical scans before any throughput number is
+recorded.
 
 Honesty rules: ``cpu_count`` is recorded; every timed leg runs in a
 fresh subprocess so no run is taxed by a predecessor's heap; gap
@@ -88,8 +88,8 @@ _results: dict = {}
 
 
 #: Eager campaign legs run in fresh subprocesses for the same reason
-#: the streamed legs do (below): a timed rep sharing a process with the
-#: legacy run measures that run's leftover heap, not the pipeline.
+#: the streamed legs do (below): a timed rep sharing a process with an
+#: earlier run measures that run's leftover heap, not the pipeline.
 #: Identity travels as a sha256 over the order-normalized scan content,
 #: which is exactly what the old in-process dict comparison checked.
 _EAGER_CHILD = r"""
@@ -99,13 +99,11 @@ from repro.scanner.executor import ExecutionOptions
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import build_topology
 
-divisor, seed = float(sys.argv[1]), int(sys.argv[2])
-pipeline, workers = sys.argv[3] == "pipeline", int(sys.argv[4])
+divisor, seed, workers = float(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 cfg = TopologyConfig.paper_scale(divisor=divisor, seed=seed)
 topo = build_topology(cfg)
 campaign = ScanCampaign(
-    topology=topo, config=cfg,
-    options=ExecutionOptions(workers=workers, pipeline=pipeline),
+    topology=topo, config=cfg, options=ExecutionOptions(workers=workers),
 )
 started = time.perf_counter()
 result = campaign.run()
@@ -159,12 +157,9 @@ def _run_child(child: str, argv: "list[str]") -> dict:
     return json.loads(proc.stdout)
 
 
-def _eager_run(*, pipeline: bool, workers: int) -> dict:
+def _eager_run(*, workers: int) -> dict:
     """Fresh eager campaign at 1/300, one subprocess per run."""
-    return _run_child(_EAGER_CHILD, [
-        str(DIVISOR), str(SEED),
-        "pipeline" if pipeline else "legacy", str(workers),
-    ])
+    return _run_child(_EAGER_CHILD, [str(DIVISOR), str(SEED), str(workers)])
 
 
 #: Each streamed leg runs in a fresh subprocess, same precedent as the
@@ -260,20 +255,18 @@ def _write_payload():
 
 
 def test_bench_campaign_wall_throughput():
-    legacy = _eager_run(pipeline=False, workers=1)
-    reps = [
-        _eager_run(pipeline=True, workers=1) for __ in range(SERIAL_REPS)
-    ]
-    multi = _eager_run(pipeline=True, workers=2)
+    reps = [_eager_run(workers=1) for __ in range(SERIAL_REPS)]
+    multi = _eager_run(workers=2)
 
     # Identity gates first — a fast wrong answer does not count.
-    probes = legacy["targets_probed"]
+    serial = reps[0]
+    probes = serial["targets_probed"]
     for rep_index, rep in enumerate(reps):
-        assert rep["fingerprint"] == legacy["fingerprint"], (
-            f"legacy-vs-batch rep{rep_index}"
+        assert rep["fingerprint"] == serial["fingerprint"], (
+            f"serial rep{rep_index}"
         )
         assert rep["targets_probed"] == probes, rep_index
-    assert multi["fingerprint"] == legacy["fingerprint"], (
+    assert multi["fingerprint"] == serial["fingerprint"], (
         "serial-vs-multi-worker"
     )
     assert multi["targets_probed"] == probes
@@ -295,19 +288,16 @@ def test_bench_campaign_wall_throughput():
         "campaign_pps_reps": [rep["pps"] for rep in reps],
         "campaign_pps_best": best,
         "edges_seconds_best_rep": best_rep["edges_seconds"],
-        "legacy_same_run_pps": legacy["pps"],
         "ratio_vs_baseline": round(ratio, 2),
         "asserted_floor": round(floor, 2),
         "identity": {
-            "legacy_vs_batch": True,
             "serial_vs_multi_worker": True,
         },
         "multi_worker_wall_seconds": multi["wall_seconds"],
     }
     print(
         f"\ncampaign wall at 1/{DIVISOR:g}: {best:.0f} pps best of "
-        f"{SERIAL_REPS} ({ratio:.2f}x baseline {BASELINE_PPS:.0f}), "
-        f"legacy same-run {legacy['pps']:.0f} pps"
+        f"{SERIAL_REPS} ({ratio:.2f}x baseline {BASELINE_PPS:.0f})"
     )
     _write_payload()
 

@@ -1,23 +1,22 @@
-"""Performance — the staged batch pipeline versus the legacy per-probe loop.
+"""Performance — the staged batch pipeline against the per-probe baseline.
 
 Measures what batch rendering, vectorized fault delivery and the fast
-report matcher buy over the interleaved per-probe loop, and records the
-numbers in ``BENCH_pipeline.json`` at the repo root:
+report matcher buy over the interleaved per-probe loop they replaced,
+and records the numbers in ``BENCH_pipeline.json`` at the repo root:
 
 * serial throughput of the pipeline, as campaign wall time AND as
   scan-phase time (the sum of shard wall clocks — the probe loop itself,
   excluding topology build, shard planning and result ingestion);
-* the same-run legacy-loop numbers, for an apples-to-apples ratio;
 * the ratio against the committed pre-pipeline baseline
   (``BENCH_parallel.json``'s ``probes_per_second_serial``, the per-probe
   loop on the reference host) — the ``>= 3x`` claim is asserted on the
   best-of-N scan-phase rate at 1/300 scale;
 * worker scaling at 1, 2 and 4 workers with the pipeline on.
 
-Identity is part of the benchmark contract: every pipeline run must be
-byte-identical to the legacy loop, and every worker count byte-identical
-to serial (``deterministic_across_workers``) — a fast wrong answer would
-not count.
+Identity is part of the benchmark contract: every worker count must be
+byte-identical to serial (``deterministic_across_workers``) — a fast
+wrong answer would not count.  What the pipeline's scans must be is
+frozen in ``tests/scanner/test_pipeline_identity.py``.
 
 Honesty rules: ``cpu_count`` is always recorded; multi-worker timings on
 fewer cores than workers are flagged ``underprovisioned`` and the
@@ -68,14 +67,14 @@ FLOOR_SCALE = float(os.environ.get("PIPELINE_BENCH_FLOOR_SCALE", "1.0"))
 _results: dict = {}
 
 
-def _run(divisor: float, *, pipeline: bool, workers: int):
+def _run(divisor: float, *, workers: int):
     """Fresh topology + campaign (agent state is stateful; reuse would
     skew both the bytes and the clock).  Returns result and timings."""
     cfg = TopologyConfig.paper_scale(divisor=divisor, seed=SEED)
     topo = build_topology(cfg)
     campaign = ScanCampaign(
         topology=topo, config=cfg,
-        options=ExecutionOptions(workers=workers, pipeline=pipeline),
+        options=ExecutionOptions(workers=workers),
     )
     started = time.perf_counter()
     result = campaign.run()
@@ -119,18 +118,8 @@ def _write_payload():
 
 @pytest.mark.parametrize("divisor", DIVISORS)
 def test_bench_pipeline_serial_throughput(divisor):
-    legacy_result, legacy_wall, legacy_scan_s, probes = _run(
-        divisor, pipeline=False, workers=1
-    )
-    reps = [
-        _run(divisor, pipeline=True, workers=1) for __ in range(SERIAL_REPS)
-    ]
-
-    # Identity gate: every pipeline rep reproduces the legacy loop's
-    # scans byte for byte, and moves the same number of probes.
-    for rep_index, (result, __, __s, rep_probes) in enumerate(reps):
-        _assert_identical(result, legacy_result, f"rep{rep_index}")
-        assert rep_probes == probes, rep_index
+    reps = [_run(divisor, workers=1) for __ in range(SERIAL_REPS)]
+    probes = reps[0][3]
 
     campaign_pps = [probes / wall for __, wall, __s, __p in reps]
     scan_pps = [probes / scan_s for __, __w, scan_s, __p in reps]
@@ -146,12 +135,6 @@ def test_bench_pipeline_serial_throughput(divisor):
         f"{best_scan:.0f} pps, {ratio_scan:.2f}x the committed "
         f"{baseline:.0f} pps baseline (floor {floor}x)"
     )
-    # The pipeline must also beat the legacy loop measured in the same
-    # process, end to end — a regression in either path trips this.
-    assert best_campaign > probes / legacy_wall, (
-        f"pipeline no faster than the legacy loop it replaces: "
-        f"{best_campaign:.0f} vs {probes / legacy_wall:.0f} pps"
-    )
 
     key = f"divisor_{divisor:g}"
     _results.setdefault(key, {})
@@ -164,24 +147,15 @@ def test_bench_pipeline_serial_throughput(divisor):
             "campaign_pps_best": round(best_campaign),
             "scan_phase_pps_best": round(best_scan),
         },
-        "legacy_same_run": {
-            "campaign_pps": round(probes / legacy_wall),
-            "scan_phase_pps": round(probes / legacy_scan_s),
-        },
         "baseline_pps_committed": baseline,
         "ratio_scan_phase_vs_baseline": round(ratio_scan, 2),
         "ratio_campaign_vs_baseline": round(ratio_campaign, 2),
-        "ratio_campaign_vs_legacy_same_run": round(
-            best_campaign / (probes / legacy_wall), 2
-        ),
         "asserted_ratio_floor": floor,
-        "identical_to_legacy_loop": True,
     })
     print(
         f"\n1/{divisor:g} serial: pipeline {best_scan:.0f} pps scan-phase "
         f"({ratio_scan:.1f}x baseline {baseline:.0f}), "
-        f"{best_campaign:.0f} pps campaign-wall | "
-        f"legacy {probes / legacy_wall:.0f} pps campaign-wall"
+        f"{best_campaign:.0f} pps campaign-wall"
     )
     _write_payload()
 
@@ -189,9 +163,7 @@ def test_bench_pipeline_serial_throughput(divisor):
 @pytest.mark.parametrize("divisor", DIVISORS)
 def test_bench_pipeline_worker_scaling(divisor):
     cores = os.cpu_count() or 1
-    runs = {
-        w: _run(divisor, pipeline=True, workers=w) for w in WORKER_COUNTS
-    }
+    runs = {w: _run(divisor, workers=w) for w in WORKER_COUNTS}
     serial_result, t_serial, __, probes = runs[1]
 
     # Determinism contract: every worker count, byte-identical scans.

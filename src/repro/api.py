@@ -139,9 +139,9 @@ class Session:
     options:
         An :class:`~repro.scanner.executor.ExecutionOptions` bundle — the
         one way to shape execution (workers, shard/batch/window geometry,
-        the batch-pipeline switch, retries, profiling, fault injection,
-        link loss).  Unset fields take engine defaults; execution knobs
-        are never flat keywords here (lint rule API002 enforces this).
+        retries, profiling, fault injection, link loss).  Unset fields
+        take engine defaults; execution knobs are never flat keywords
+        here (lint rule API002 enforces this).
     reboot_threshold / skip:
         Filter-pipeline knobs (see :class:`FilterPipeline`).
     topology:

@@ -93,7 +93,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         num_shards=args.shards,
         batch_size=args.batch_size,
         window=args.window,
-        pipeline=False if args.no_pipeline else None,
         fault_profile=args.fault_profile,
         retry=retry,
         profile=args.profile,
@@ -528,10 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="targets planned per streaming window "
                            "(default 65536; like --shards, part of the "
                            "deterministic result geometry)")
-    scan.add_argument("--no-pipeline", action="store_true",
-                      help="use the historical per-probe loop instead of "
-                           "the batch pipeline (byte-identical; for A/B "
-                           "timing comparisons)")
     from repro.net.faults import FAULT_PROFILES
     scan.add_argument("--fault-profile", default=None,
                       choices=sorted(FAULT_PROFILES),

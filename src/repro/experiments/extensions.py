@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.experiments.context import ExperimentContext
 from repro.fingerprint.middlebox import MiddleboxDetector, MiddleboxReport
-from repro.net.transport import LinkProfile, NetworkFabric
-from repro.scanner.zmap import ZmapConfig, ZmapScanner
-from repro.snmp.constants import SNMP_PORT
+from repro.scanner.campaign import ScanCampaign
 from repro.topology import timeline
 
 
@@ -122,8 +120,13 @@ def longitudinal_experiment(
     (boots increment), DHCP-pool devices re-address — but engine IDs
     persist across all of it, which is precisely why the paper calls the
     engine ID a *strong, persistent* identifier.
+
+    The follow-ups are targeted scans of one campaign over the same
+    world, so they see the campaign's link model and its scheduled
+    reboots.
     """
-    topology = ctx.topology
+    campaign = ScanCampaign(topology=ctx.topology, config=ctx.config)
+    targets = sorted(ctx.topology.all_addresses(4), key=int)
     base_scan, __ = ctx.campaign.scan_pair(4)
     baseline = {
         address: obs.engine_id.raw
@@ -134,24 +137,8 @@ def longitudinal_experiment(
     result = LongitudinalExperiment()
     for offset in offsets_days:
         start = timeline.SCAN1_V4_START + offset * timeline.SECONDS_PER_DAY
-        fabric = NetworkFabric(
-            seed=topology.seed ^ int(offset),
-            default_profile=LinkProfile(loss_probability=0.02),
-        )
-        for device in topology.devices.values():
-            if not device.snmp_open:
-                continue
-            handler = (
-                device.agent_pool.handle_datagram
-                if device.agent_pool is not None
-                else device.agent.handle_datagram
-            )
-            for interface in device.interfaces:
-                if interface.snmp_reachable:
-                    fabric.bind(interface.address, "udp", SNMP_PORT, handler)
-        scanner = ZmapScanner(fabric=fabric, config=ZmapConfig())
-        scan = scanner.scan(
-            sorted(topology.all_addresses(4), key=int),
+        scan = campaign.run_targeted(
+            targets,
             label=f"follow-up+{offset:g}d",
             ip_version=4,
             start_time=start,

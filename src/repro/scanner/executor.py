@@ -1,9 +1,10 @@
-"""Sharded, streaming scan execution — the engine behind every campaign.
+"""Sharded, streaming scan execution — the engine behind every scan.
 
-The standalone :class:`~repro.scanner.zmap.ZmapScanner` walks the whole
-target permutation in one synchronous pass and materializes every
-observation before anything downstream runs.  Campaigns instead run
-every scan through this module:
+Every campaign, targeted re-probe and follow-up scan runs through this
+module.  Like the paper's scanner (§3.2–3.3) it sends one probe per
+target unless a :class:`RetryPolicy` asks for more, in a seeded shuffle
+of the targets, at a fixed rate in virtual time.  On top of that it
+provides:
 
 * **Sharding** — the permuted target list is partitioned into a fixed
   number of shards, grouped by *owning device* so that all probes that
@@ -22,15 +23,18 @@ every scan through this module:
   campaign, the filter pipeline and the JSONL exporters never hold a
   full Internet-scale scan in memory.
 
-The probe hot loop is the staged batch pipeline of
-:mod:`repro.scanner.pipeline`; the per-probe loop it replaced survives
-only behind ``pipeline=False`` as the reference
-``tests/scanner/test_pipeline_identity.py`` compares against.
+Every shard runs the staged batch pipeline of
+:mod:`repro.scanner.pipeline`; there is no other probe loop.  Its
+whole-scan output is frozen as golden digests
+(``tests/scanner/test_pipeline_identity.py``), and each batched stage
+has a unit-level reference in the per-probe code it stands in for
+(``tests/net/test_probe_batch.py``, ``tests/snmp/test_probe_template.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import ipaddress
 import multiprocessing
 import time
 import zlib
@@ -40,16 +44,12 @@ from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from repro.net.addresses import IPAddress
-from repro.net.packet import Datagram
-from repro.net.transport import FabricView, HandlerTimer, NetworkFabric
+from repro.net.transport import HandlerTimer, NetworkFabric
 from repro.scanner.metrics import ExecutorMetrics, ShardMetrics
 from repro.scanner.pipeline import StageTimings, probe_targets_pipelined
 from repro.scanner.pool import MSG_METRICS, WorkerPool
 from repro.scanner.records import ScanObservation, ScanResult
 from repro.scanner.wire import decode_observations
-from repro.scanner.zmap import ZmapConfig, ZmapScanner
-from repro.snmp.constants import SNMP_PORT
-from repro.snmp.messages import encode_discovery_probe
 
 if TYPE_CHECKING:
     from repro.net.faults import FaultProfile
@@ -68,6 +68,18 @@ DEFAULT_BATCH_SIZE = 2048
 #: per-stage dispatch, small enough that streaming consumers see output
 #: well before a shard finishes.
 DEFAULT_WINDOW = 512
+
+#: Probe rate of a scan that names none (§3.2: 5 kpps for IPv4).
+DEFAULT_RATE_PPS = 5000.0
+
+#: Source addresses of the paper's probers: one well-connected server per
+#: address family, probing from one fixed UDP port.
+SOURCE_V4 = ipaddress.ip_address("203.0.113.77")
+SOURCE_V6 = ipaddress.ip_address("2001:db8:5ca0::77")
+SOURCE_PORT = 39321
+
+#: Root of every scan's target shuffle, mixed with the scan label.
+SHUFFLE_SEED = 0xC0FFEE
 
 #: Default targets per planning window when streaming (``execute_stream``
 #: with ``target_window=0``).  Large enough that per-window shard-plan
@@ -137,8 +149,11 @@ class ExecutorConfig:
     (the serial fallback, also used where ``fork`` is unavailable).
     ``seed`` is the determinism root — campaigns pass ``topology.seed``.
     ``retry`` is the per-probe fault-tolerance policy; the default policy
-    (no retries, no timeout) sends exactly one probe per target, as
-    :class:`~repro.scanner.zmap.ZmapScanner` does.
+    (no retries, no timeout) sends exactly one probe per target, as the
+    paper's scanner does.  ``workers``, ``window`` and ``batch_size``
+    shape execution only: the golden rows of
+    ``tests/scanner/test_pipeline_identity.py`` that vary them must
+    reproduce the chaos row's digest.
     """
 
     workers: int = 1
@@ -150,10 +165,6 @@ class ExecutorConfig:
     #: the shard metrics.  Off by default: the timers cost real time in
     #: the probe hot loop.  Never affects scan *results*.
     profile: bool = False
-    #: Run the batch-staged probe pipeline (:mod:`repro.scanner.pipeline`).
-    #: ``False`` selects the legacy per-probe loop for A/B comparison;
-    #: both produce byte-identical results.
-    pipeline: bool = True
     #: In-flight probes per pipeline stage pass.
     window: int = DEFAULT_WINDOW
     #: Targets per planning window on the streaming path
@@ -186,12 +197,13 @@ class ExecutionOptions:
 
     One frozen object carrying every way a caller can shape *how* a
     campaign executes — worker processes, shard/batch/window geometry,
-    the batch-pipeline A/B switch, retry policy, stage profiling and the
-    fabric's fault injection — without touching *what* it measures.
-    ``None`` means "engine default".  :class:`~repro.api.Session`,
-    ``run_campaign``, :class:`~repro.scanner.campaign.ScanCampaign` and
-    the CLI accept this object and no flat execution keywords (API002
-    keeps them from growing back on the facade).
+    retry policy, stage profiling and the fabric's fault injection —
+    without touching *what* it measures.  Every combination runs the one
+    probe loop, the staged pipeline.  ``None`` means "engine default".
+    :class:`~repro.api.Session`, ``run_campaign``,
+    :class:`~repro.scanner.campaign.ScanCampaign` and the CLI accept this
+    object and no flat execution keywords (API002 keeps them from growing
+    back on the facade).
 
     ``fault_profile`` and ``loss_probability`` ride along because the
     facade has always treated them as execution shape: they select what
@@ -202,7 +214,6 @@ class ExecutionOptions:
     num_shards: "int | None" = None
     batch_size: "int | None" = None
     window: "int | None" = None
-    pipeline: "bool | None" = None
     retry: "RetryPolicy | None" = None
     profile: bool = False
     fault_profile: "FaultProfile | str | None" = None
@@ -223,7 +234,6 @@ class ExecutionOptions:
             seed=seed,
             retry=self.retry if self.retry is not None else RetryPolicy(),
             profile=self.profile,
-            pipeline=True if self.pipeline is None else self.pipeline,
             window=DEFAULT_WINDOW if self.window is None else self.window,
             target_window=0 if self.target_window is None else self.target_window,
         )
@@ -434,6 +444,20 @@ class _ScanParams:
     source_port: int
 
 
+def _scan_params(
+    label: str, ip_version: int, start_time: float, rate_pps: "float | None"
+) -> _ScanParams:
+    """One scan's parameters: its family's prober, at ``rate_pps``."""
+    return _ScanParams(
+        label=label,
+        ip_version=ip_version,
+        start_time=start_time,
+        interval=1.0 / (DEFAULT_RATE_PPS if rate_pps is None else rate_pps),
+        source=SOURCE_V4 if ip_version == 4 else SOURCE_V6,
+        source_port=SOURCE_PORT,
+    )
+
+
 class ScanExecution:
     """Handle over one sharded scan: a batch stream plus its metrics.
 
@@ -561,7 +585,7 @@ class StreamingScanExecution:
                     label=f"{params.label}@{window_index}",
                     num_shards=executor.config.num_shards,
                     seed=executor.config.seed,
-                    shuffle_seed=executor.zmap_config.shuffle_seed,
+                    shuffle_seed=SHUFFLE_SEED,
                     owner_of=executor._owner_of,
                     base_index=base_index,
                     owners=(
@@ -660,7 +684,6 @@ class ShardedScanExecutor:
         devices: "Mapping[int, Device]",
         owner_of: "Callable[[IPAddress], int | None] | None" = None,
         config: "ExecutorConfig | None" = None,
-        zmap_config: "ZmapConfig | None" = None,
         pool: "WorkerPool | None" = None,
         owner_of_batch: "Callable[[list[IPAddress]], list[int | None]] | None" = None,
         snapshot_filter: "Callable[[tuple[int, ...]], list[int]] | None" = None,
@@ -683,7 +706,6 @@ class ShardedScanExecutor:
         # devices that cannot answer.
         self._snapshot_filter = snapshot_filter
         self.config = config or ExecutorConfig()
-        self.zmap_config = zmap_config or ZmapConfig()
         # Campaign-owned persistent pool; when absent, a parallel scan
         # forks an ephemeral pool of its own for the scan's duration.
         self._pool = pool
@@ -714,25 +736,14 @@ class ShardedScanExecutor:
                 raise ValueError(
                     f"target {target} does not match scan family IPv{ip_version}"
                 )
-        rate = rate_pps if rate_pps is not None else self.zmap_config.rate_pps
-        source = (
-            self.zmap_config.source_v4 if ip_version == 4 else self.zmap_config.source_v6
-        )
-        params = _ScanParams(
-            label=label,
-            ip_version=ip_version,
-            start_time=start_time,
-            interval=1.0 / rate,
-            source=source,
-            source_port=self.zmap_config.source_port,
-        )
+        params = _scan_params(label, ip_version, start_time, rate_pps)
         plan_started = time.perf_counter()
         plan = plan_shards(
             targets,
             label=label,
             num_shards=self.config.num_shards,
             seed=self.config.seed,
-            shuffle_seed=self.zmap_config.shuffle_seed,
+            shuffle_seed=SHUFFLE_SEED,
             owner_of=self._owner_of,
             owners=(
                 None
@@ -763,18 +774,7 @@ class ShardedScanExecutor:
         independent of the window size's effect on *memory* (each window
         is planned as its own permutation, like a sequence of scans).
         """
-        rate = rate_pps if rate_pps is not None else self.zmap_config.rate_pps
-        source = (
-            self.zmap_config.source_v4 if ip_version == 4 else self.zmap_config.source_v6
-        )
-        params = _ScanParams(
-            label=label,
-            ip_version=ip_version,
-            start_time=start_time,
-            interval=1.0 / rate,
-            source=source,
-            source_port=self.zmap_config.source_port,
-        )
+        params = _scan_params(label, ip_version, start_time, rate_pps)
         window = self.config.target_window or DEFAULT_TARGET_WINDOW
         return StreamingScanExecution(self, targets, params, window)
 
@@ -786,7 +786,7 @@ class ShardedScanExecutor:
         start_time: float,
         rate_pps: "float | None" = None,
     ) -> ScanResult:
-        """Drop-in materialized equivalent of :meth:`ZmapScanner.scan`."""
+        """One scan of ``targets``: :meth:`execute`, drained into a result."""
         return self.execute(
             targets,
             label=label,
@@ -926,13 +926,6 @@ class ShardedScanExecutor:
 
         return batches(), shard
 
-    def _execute_shard(
-        self, spec: ShardSpec, params: _ScanParams
-    ) -> tuple[list[ScanObservation], ShardMetrics]:
-        """Materialized equivalent of :meth:`stream_shard` (tests, tools)."""
-        shard = ShardMetrics(shard_index=spec.index, targets=len(spec.items))
-        return list(self._probe_shard(spec, params, shard)), shard
-
     def _probe_shard(
         self, spec: ShardSpec, params: _ScanParams, shard: ShardMetrics
     ) -> Iterator[ScanObservation]:
@@ -950,13 +943,9 @@ class ShardedScanExecutor:
         The retry schedule is a pure function of the shard's own probe
         outcomes, preserving byte-identity across worker counts.
 
-        Observations are yielded as they are made; ``shard`` is finalized
-        (fabric stats, wall time, stage timings) on exhaustion.
-
-        ``config.pipeline`` selects between the batch-staged pipeline
-        (:mod:`repro.scanner.pipeline`, the default) and the historical
-        per-probe loop; the two are byte-identical, so the switch exists
-        purely for A/B measurement.
+        Observations are yielded as they are made by the staged pipeline
+        of :mod:`repro.scanner.pipeline`; ``shard`` is finalized (fabric
+        stats, wall time, stage timings) on exhaustion.
         """
         shard_started = time.perf_counter()
         config = self.config
@@ -972,15 +961,10 @@ class ShardedScanExecutor:
         ]
         yielded = 0
         timings = StageTimings()
-        if config.pipeline:
-            produce = probe_targets_pipelined(
-                view, spec, params, config.retry, config.window,
-                self._owner_of, shard, timings, profile,
-            )
-        else:
-            produce = self._probe_targets_legacy(
-                view, spec, params, shard, timings, profile
-            )
+        produce = probe_targets_pipelined(
+            view, spec, params, config.retry, config.window,
+            self._owner_of, shard, timings, profile,
+        )
         try:
             for observation in produce:
                 yielded += 1
@@ -1008,106 +992,6 @@ class ShardedScanExecutor:
             shard.fabric_time = max(0.0, timings.inject - timer.seconds)
             shard.decode_time = timings.decode
         shard.wall_time = time.perf_counter() - shard_started
-
-    def _probe_targets_legacy(
-        self,
-        view: FabricView,
-        spec: ShardSpec,
-        params: _ScanParams,
-        shard: ShardMetrics,
-        timings: StageTimings,
-        profile: bool,
-    ) -> Iterator[ScanObservation]:
-        """The historical per-probe loop (``pipeline=False`` A/B path)."""
-        source = params.source
-        sport = params.source_port
-        start_time = params.start_time
-        interval = params.interval
-        observe = ZmapScanner._observe
-        inject = view.inject
-        retry = self.config.retry
-        timeout = retry.timeout
-        owner_of = self._owner_of
-        retrying = retry.max_retries > 0
-        encode_elapsed = 0.0
-        inject_elapsed = 0.0
-        decode_elapsed = 0.0
-        # Consecutive unanswered probes per device (circuit breaker).
-        dead_streak: dict[object, int] = {}
-        try:
-            for global_index, target in spec.items:
-                send_time = start_time + global_index * interval
-                if profile:
-                    stage_started = time.perf_counter()
-                    payload = encode_discovery_probe(global_index + 1)
-                    encode_elapsed += time.perf_counter() - stage_started
-                else:
-                    payload = encode_discovery_probe(global_index + 1)
-                if retrying and retry.breaker_threshold:
-                    breaker_key = owner_of(target)
-                    if breaker_key is None:
-                        breaker_key = target
-                    allow_retries = (
-                        dead_streak.get(breaker_key, 0) < retry.breaker_threshold
-                    )
-                else:
-                    breaker_key = None
-                    allow_retries = retrying
-                observation = None
-                attempt = 0
-                while True:
-                    datagram = Datagram(
-                        src=source,
-                        dst=target,
-                        sport=sport,
-                        dport=SNMP_PORT,
-                        payload=payload,
-                        sent_at=send_time,
-                    )
-                    if profile:
-                        stage_started = time.perf_counter()
-                        replies = inject(datagram, now=send_time)
-                        inject_elapsed += time.perf_counter() - stage_started
-                    else:
-                        replies = inject(datagram, now=send_time)
-                    if timeout is not None and replies:
-                        on_time = [
-                            entry
-                            for entry in replies
-                            if entry[1] - send_time <= timeout
-                        ]
-                        shard.timed_out += len(replies) - len(on_time)
-                        replies = on_time
-                    if replies:
-                        if profile:
-                            stage_started = time.perf_counter()
-                            observation = observe(target, replies)
-                            decode_elapsed += time.perf_counter() - stage_started
-                        else:
-                            observation = observe(target, replies)
-                        if observation.engine_id is not None:
-                            break
-                    if not allow_retries or attempt >= retry.max_retries:
-                        break
-                    attempt += 1
-                    shard.retries += 1
-                    send_time = retry.retry_send_time(send_time, attempt)
-                if observation is not None:
-                    if observation.engine_id is None:
-                        shard.unparsed += 1
-                    yield observation
-                if breaker_key is not None:
-                    if observation is None:
-                        streak = dead_streak.get(breaker_key, 0) + 1
-                        dead_streak[breaker_key] = streak
-                        if streak == retry.breaker_threshold:
-                            shard.breaker_tripped += 1
-                    else:
-                        dead_streak[breaker_key] = 0
-        finally:
-            timings.encode += encode_elapsed
-            timings.inject += inject_elapsed
-            timings.decode += decode_elapsed
 
 
 __all__ = [

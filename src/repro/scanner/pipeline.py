@@ -1,10 +1,10 @@
-"""Batch-staged probe pipeline for the sharded scan executor.
+"""Batch-staged probe pipeline: the sharded scan executor's probe loop.
 
-The legacy hot loop in :mod:`repro.scanner.executor` pays Python dispatch
-per *packet*: encode one probe, build one :class:`~repro.net.packet.
-Datagram`, walk the fault fabric, call the agent, fully decode the reply
-— then start over.  This module restructures one shard's probe work into
-stages over *windows* of targets:
+A per-probe loop pays Python dispatch per *packet*: encode one probe,
+build one :class:`~repro.net.packet.Datagram`, walk the fault fabric,
+call the agent, fully decode the reply — then start over.  This module
+runs one shard's probe work as stages over *windows* of targets
+instead; every scan's probes go through it:
 
 1. **encode** — a :class:`~repro.snmp.messages.DiscoveryProbeTemplate`
    renders the whole window's probes in one vectorized BER pass;
@@ -18,10 +18,17 @@ stages over *windows* of targets:
    off.
 
 Stage boundaries never change outcomes: every RNG draw, usmStats bump,
-reboot, and reply byte happens in exactly the per-target order of the
-legacy loop, so results are byte-identical at every worker count, under
-every fault profile and adversarial personality (property-tested in
-``tests/scanner/test_pipeline_identity.py``).
+reboot, and reply byte happens in per-target order, so results are
+byte-identical at every worker count, window and batch size.  Each
+stage is tested against the per-probe code it stands in for — batched
+delivery against :meth:`FabricView.inject`
+(``tests/net/test_probe_batch.py``), the template, the matcher and the
+hinted handler against ``encode_discovery_probe``,
+``parse_discovery_response`` and ``SnmpAgent.handle``
+(``tests/snmp/test_probe_template.py``) — and whole campaigns under
+every fault profile, adversarial personality, retry, breaker and
+timeout policy are frozen as golden digests
+(``tests/scanner/test_pipeline_identity.py``).
 
 A non-zero :class:`~repro.scanner.executor.RetryPolicy` makes a target's
 follow-up probes depend on its own reply outcomes, so windows collapse to
@@ -141,8 +148,10 @@ def _probe_targets_staged(
     Without retries a probe's inputs (payload, send slot) are independent
     of every other probe's outcome and all RNG draws happen inside
     delivery in target order, so encode-all / inject-all / decode-all is
-    draw-for-draw identical to the interleaved legacy loop.  The timeout
-    filter draws nothing, so it batches freely too.
+    draw-for-draw identical to probing one target at a time.  The
+    timeout filter draws nothing, so it batches freely too.  The golden
+    rows without retries (``tests/scanner/test_pipeline_identity.py``)
+    pin this path, the ``timeout`` row its timeout filter.
     """
     template = DiscoveryProbeTemplate()
     items = spec.items
@@ -209,12 +218,13 @@ def _probe_targets_retry(
     """Per-target path for retry policies.
 
     A retry's send slot and very existence depend on the target's own
-    earlier replies, so targets must complete one at a time to keep the
-    RNG stream aligned with the legacy loop.  Control flow below mirrors
-    ``ShardedScanExecutor._probe_targets_legacy`` statement for
-    statement; only the probe encode (template), delivery entry point
-    (hinted single-probe batch) and reply parse (fast matcher) differ —
-    all three byte-identical substitutions.
+    earlier replies, so targets complete one at a time, each drawing
+    from the fabric RNG in target order.  The probe encode (template),
+    delivery entry point (hinted single-probe batch) and reply parse
+    (fast matcher) are the staged path's byte-identical substitutions;
+    the ``retries``, ``breaker`` and ``rate-limited-retries`` golden
+    rows (``tests/scanner/test_pipeline_identity.py``) pin the retry,
+    circuit-breaker and timeout accounting.
     """
     template = DiscoveryProbeTemplate()
     source = params.source

@@ -28,11 +28,9 @@ exceptions travel as :data:`MSG_ERROR` messages and re-raise in the
 parent as :class:`WorkerPoolError`.
 
 The pool is agnostic to *how* a shard probes: the runner executes the
-staged batch pipeline (or the legacy per-probe loop — whatever the
-scan's :class:`~repro.scanner.executor.ExecutionOptions` selected), and
-because both produce identical observations in identical batch
-boundaries, the message stream — and the ``ipc_bytes`` accounting — is
-byte-identical either way.
+staged batch pipeline and cuts its observations into the same batch
+boundaries as the serial path, so the message stream — and the
+``ipc_bytes`` accounting — is byte-identical at every worker count.
 """
 
 from __future__ import annotations

@@ -7,11 +7,14 @@ timestamp.  Replies are parsed into :class:`ScanObservation` records; the
 engine never raises on malformed responses — those become observations
 with ``engine_id=None``, exactly as a capture-then-parse pipeline would
 record them.
+
+Nothing in the package runs this engine: every scan runs on
+:mod:`repro.scanner.executor`.  It remains while the benchmark harness
+names :meth:`ZmapScanner.scan` as a layer boundary.
 """
 
 from __future__ import annotations
 
-import ipaddress
 import random
 import zlib
 from dataclasses import dataclass
@@ -21,26 +24,31 @@ from repro.asn1 import ber
 from repro.net.addresses import IPAddress
 from repro.net.packet import Datagram
 from repro.net.transport import NetworkFabric
+from repro.scanner.executor import (
+    DEFAULT_RATE_PPS,
+    SHUFFLE_SEED,
+    SOURCE_PORT,
+    SOURCE_V4,
+    SOURCE_V6,
+)
 from repro.scanner.records import ScanObservation, ScanResult
 from repro.snmp.constants import SNMP_PORT
 from repro.snmp.engine_id import EngineId
 from repro.snmp.messages import build_discovery_probe, parse_discovery_response
 
-#: Source addresses of the paper's probers: one well-connected server per
-#: address family.
-DEFAULT_SOURCE_V4 = ipaddress.ip_address("203.0.113.77")
-DEFAULT_SOURCE_V6 = ipaddress.ip_address("2001:db8:5ca0::77")
-
 
 @dataclass(frozen=True)
 class ZmapConfig:
-    """Engine parameters (§3.2: 5 kpps for IPv4, 20 kpps for IPv6)."""
+    """Engine parameters (§3.2: 5 kpps for IPv4, 20 kpps for IPv6).
 
-    rate_pps: float = 5000.0
-    source_v4: IPAddress = DEFAULT_SOURCE_V4
-    source_v6: IPAddress = DEFAULT_SOURCE_V6
-    source_port: int = 39321
-    shuffle_seed: int = 0xC0FFEE
+    The defaults are the sharded executor's wire constants.
+    """
+
+    rate_pps: float = DEFAULT_RATE_PPS
+    source_v4: IPAddress = SOURCE_V4
+    source_v6: IPAddress = SOURCE_V6
+    source_port: int = SOURCE_PORT
+    shuffle_seed: int = SHUFFLE_SEED
 
 
 class ZmapScanner:

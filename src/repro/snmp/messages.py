@@ -662,7 +662,7 @@ def match_discovery_report(payload: bytes) -> "DiscoveryReply | None":
     is *stricter* than :func:`parse_discovery_response` — a successful
     match always agrees with the full decoder, and every rejection (other
     engines' messages, fault-fabric mutations) falls back to it — so the
-    batch decode stage stays byte-identical to the legacy per-probe loop
+    batch decode stage reads every reply exactly as the full decoder does
     while skipping the message-object graph for the overwhelmingly common
     unmutated reply.
 

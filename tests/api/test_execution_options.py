@@ -78,7 +78,6 @@ def test_executor_config_fills_documented_defaults():
     assert config.num_shards == DEFAULT_NUM_SHARDS
     assert config.batch_size == DEFAULT_BATCH_SIZE
     assert config.window == DEFAULT_WINDOW
-    assert config.pipeline is True
     assert config.seed == 123
 
 

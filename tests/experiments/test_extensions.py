@@ -3,6 +3,8 @@
 import pytest
 
 from repro.experiments.extensions import longitudinal_experiment, middlebox_experiment
+from repro.scanner.campaign import ScanCampaign
+from repro.topology import timeline
 
 
 class TestMiddleboxExperiment:
@@ -47,3 +49,32 @@ class TestLongitudinalExperiment:
     def test_uptime_grows_between_snapshots(self, result):
         first, second = result.snapshots
         assert second.median_uptime_days > first.median_uptime_days + 100
+
+    def test_follow_ups_see_scheduled_reboots(self, ctx, monkeypatch):
+        """Every device scheduled to reboot during the campaign has done so
+        by the +30 d follow-up.  The hour allows for agent clock skew,
+        which shifts an inferred reboot time by a few seconds."""
+        scans = []
+        run_targeted = ScanCampaign.run_targeted
+
+        def capture(campaign, *args, **kwargs):
+            scan = run_targeted(campaign, *args, **kwargs)
+            scans.append(scan)
+            return scan
+
+        monkeypatch.setattr(ScanCampaign, "run_targeted", capture)
+        longitudinal_experiment(ctx, offsets_days=(30.0,))
+        (scan,) = scans
+        owners = ctx.topology.address_owners()
+        floor = timeline.SCAN1_V6_START - 3600.0
+        late = set()
+        rebooting = set()
+        for address, obs in scan.observations.items():
+            device = ctx.topology.devices[owners[address]]
+            if obs.engine_id is None or not device.reboot_between_scans:
+                continue
+            rebooting.add(device.device_id)
+            if obs.last_reboot_time < floor:
+                late.add(device.device_id)
+        assert rebooting
+        assert not late, f"{len(late)} of {len(rebooting)} devices"
