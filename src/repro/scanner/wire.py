@@ -21,16 +21,27 @@ path can produce (property-tested in ``tests/scanner/test_wire.py``).
 A typical discovery batch shrinks well over 3x versus per-instance
 pickling — measured by ``benchmarks/test_bench_parallel.py``.
 
-Two decoders share one frame parser, which validates the whole blob
-and locates its columns before any row is built.
-:func:`decode_observations` materialises every row.  The point decoder
-:func:`find_observation`, which serves the store's ``history`` lookups,
-searches the raw address column for one key and materialises only the
-matching row.  For any blob and address it answers like decoding
-everything and keeping the first row at that address, and it rejects
-exactly the blobs :func:`decode_observations` rejects.  Integer width
-codes other than ``b``/``h``/``i``/``q`` and the bigint escape are
-rejected, not passed to :mod:`struct`.
+Four decoders share one frame parser, which validates the whole blob
+and locates its columns before any row is built, so all four reject
+exactly the same blobs:
+
+* :func:`count_observations` returns the row count of the validated
+  frame and builds nothing (the store's ``integrity`` audit);
+* :func:`decode_columns` returns one sequence per field — addresses,
+  receive times, raw engine-ID bytes, boots, engine times, response
+  counts, wire bytes — without building a row object (the store's
+  index and timeline folds);
+* :func:`decode_observations` materialises every row as a
+  :class:`~repro.scanner.records.ScanObservation`, zipped from
+  :func:`decode_columns`;
+* the point decoder :func:`find_observation`, which serves the store's
+  ``history`` lookups, searches the raw address column for one key and
+  materialises only the matching row.  For any blob and address it
+  answers like decoding everything and keeping the first row at that
+  address.
+
+Integer width codes other than ``b``/``h``/``i``/``q`` and the bigint
+escape are rejected, not passed to :mod:`struct`.
 
 Blobs are a pure function of observation content and batch boundaries —
 both of which the staged batch pipeline reproduces exactly (executor
@@ -45,7 +56,7 @@ from __future__ import annotations
 import ipaddress
 import struct
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import NamedTuple, Sequence
 
 from repro.net.addresses import IPAddress
@@ -223,10 +234,10 @@ def _int_column(blob: bytes, offset: int, count: int) -> "tuple[_IntColumn, int]
 def _parse_frame(blob: bytes) -> _Frame:
     """Validate a whole blob and locate its columns, decoding no row.
 
-    The one column walk behind both decoders: every check that can
-    reject a blob happens here, so :func:`decode_observations` and
-    :func:`find_observation` reject exactly the same blobs.  Only the
-    variable-width columns (bigints, engine IDs) are walked row by row.
+    The one column walk behind all four decoders: every check that can
+    reject a blob happens here, so they all reject exactly the same
+    blobs.  Only the variable-width columns (bigints, engine IDs) are
+    walked row by row.
     """
     if len(blob) < _HEADER.size:
         raise WireFormatError("truncated batch header")
@@ -271,8 +282,36 @@ def _parse_frame(blob: bytes) -> _Frame:
     return _Frame(count, flags, v6_rows, addresses, times, tuple(ints), engine_ids)
 
 
-def decode_observations(blob: bytes) -> "list[ScanObservation]":
-    """Unpack a columnar blob back into observation records."""
+class ObservationColumns(NamedTuple):
+    """One blob's rows as one sequence per field, each in row order.
+
+    Row ``i`` of every field holds what ``decode_observations(blob)[i]``
+    holds in the field of the same name, except that ``engine_ids``
+    carries the raw engine-ID bytes (``None`` for an unparsed row), not
+    an :class:`~repro.snmp.engine_id.EngineId`.  The field order is
+    :class:`~repro.scanner.records.ScanObservation`'s.
+    """
+
+    addresses: "Sequence[ipaddress.IPv4Address | ipaddress.IPv6Address]"
+    recv_times: "Sequence[float]"
+    engine_ids: "Sequence[bytes | None]"
+    engine_boots: "Sequence[int]"
+    engine_times: "Sequence[int]"
+    response_counts: "Sequence[int]"
+    wire_bytes: "Sequence[int]"
+
+
+def count_observations(blob: bytes) -> int:
+    """The row count of ``blob``, validated in full; no row is built.
+
+    Raises :class:`WireFormatError` on exactly the blobs
+    :func:`decode_observations` rejects.
+    """
+    return _parse_frame(blob).count
+
+
+def decode_columns(blob: bytes) -> ObservationColumns:
+    """Unpack a columnar blob into per-field columns, building no row."""
     frame = _parse_frame(blob)
     count, flags = frame.count, frame.flags
     addresses: "list[ipaddress.IPv4Address | ipaddress.IPv6Address]"
@@ -288,30 +327,43 @@ def decode_observations(blob: bytes) -> "list[ScanObservation]":
             else ipaddress.IPv4Address(blob[start : start + 4])
             for flag, start in zip(flags, frame.addresses)
         ]
-    recv_times = struct.unpack_from(f"<{count}d", blob, frame.times)
+    ids = frame.engine_ids
+    raws: "list[bytes | None]" = [
+        blob[start + 2 : end] for start, end in zip(ids, islice(ids, 1, None))
+    ]
+    if len(raws) != count:
+        parsed = iter(raws)
+        raws = [next(parsed) if flag & _FLAG_PARSED else None for flag in flags]
     boots, etimes, responses, wire_bytes = (
         column.values(blob, count) for column in frame.ints
     )
-    ids = frame.engine_ids
-    parsed = 0
-    observations: "list[ScanObservation]" = []
-    for row, flag in enumerate(flags):
-        engine_id = None
-        if flag & _FLAG_PARSED:
-            engine_id = EngineId(blob[ids[parsed] + 2 : ids[parsed + 1]])
-            parsed += 1
-        observations.append(
-            ScanObservation(
-                address=addresses[row],
-                recv_time=recv_times[row],
-                engine_id=engine_id,
-                engine_boots=boots[row],
-                engine_time=etimes[row],
-                response_count=responses[row],
-                wire_bytes=wire_bytes[row],
-            )
+    return ObservationColumns(
+        addresses,
+        struct.unpack_from(f"<{count}d", blob, frame.times),
+        raws,
+        boots,
+        etimes,
+        responses,
+        wire_bytes,
+    )
+
+
+def decode_observations(blob: bytes) -> "list[ScanObservation]":
+    """Unpack a columnar blob back into observation records."""
+    return [
+        ScanObservation(
+            address,
+            recv_time,
+            None if raw is None else EngineId(raw),
+            boots,
+            etime,
+            responses,
+            size,
         )
-    return observations
+        for address, recv_time, raw, boots, etime, responses, size in zip(
+            *decode_columns(blob)
+        )
+    ]
 
 
 def find_observation(blob: bytes, address: IPAddress) -> "ScanObservation | None":
@@ -368,7 +420,10 @@ def _decode_row(blob: bytes, frame: _Frame, row: int) -> ScanObservation:
 
 __all__ = [
     "WIRE_VERSION",
+    "ObservationColumns",
     "WireFormatError",
+    "count_observations",
+    "decode_columns",
     "decode_observations",
     "encode_observations",
     "find_observation",

@@ -29,6 +29,7 @@ from repro.service.http import ServiceHttpServer
 from repro.service.query import (
     DEFAULT_CACHE_ENTRIES,
     ENDPOINTS,
+    CorruptStoreError,
     EndpointMetrics,
     QueryService,
     RateLimitExceeded,
@@ -48,6 +49,7 @@ __all__ = [
     "DEFAULT_JOBS",
     "ENDPOINTS",
     "REPROBE_LABEL_PREFIX",
+    "CorruptStoreError",
     "EndpointMetrics",
     "JobRun",
     "JobSpec",

@@ -10,8 +10,10 @@ thread per connection, every request funnelled through the thread-safe
 * ``GET /healthz`` — liveness plus the current generation.
 
 Rate-limited requests return ``429``; bad arguments ``400``; unknown
-paths ``404``.  Clients are identified by the ``client`` query parameter
-when present, else by their remote address.
+paths ``404``; a malformed segment the answer needs ``500``, naming the
+segment file and block (the connection stays open).  Clients are
+identified by the ``client`` query parameter when present, else by
+their remote address.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from repro.service.query import QueryService, RateLimitExceeded, ServiceError
+from repro.service.query import (
+    CorruptStoreError,
+    QueryService,
+    RateLimitExceeded,
+    ServiceError,
+)
 
 __all__ = ["ServiceHttpServer"]
 
@@ -70,6 +77,9 @@ class _Handler(BaseHTTPRequestHandler):
             response = service.request(endpoint, argument, client=client)
         except RateLimitExceeded as error:
             self._send_json(429, {"error": str(error)})
+            return
+        except CorruptStoreError as error:
+            self._send_json(500, {"error": str(error)})
             return
         except ServiceError as error:
             status = 404 if "unknown endpoint" in str(error) else 400

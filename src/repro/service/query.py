@@ -17,7 +17,8 @@ hold at any interleaving:
 * **Cache coherence** — results are cached in an LRU keyed on
   ``(generation, endpoint, argument)``.  Ingest and compaction bump the
   generation, so stale entries can never be served; they simply age out
-  of the LRU.
+  of the LRU.  ``integrity`` is never cached: every request re-reads
+  every listed block.
 * **Overload shedding** — per-client token buckets (the shared
   :mod:`repro.net.ratelimit` machinery) refuse excess requests with
   :class:`RateLimitExceeded` instead of queueing them.
@@ -40,12 +41,15 @@ from typing import Callable
 
 from repro.clock import Clock, PerfCounterClock
 from repro.net.ratelimit import RateLimit, TokenBucket
+from repro.scanner.wire import WireFormatError
 from repro.store.query import StoreQuery
+from repro.store.segment import SegmentError
 from repro.store.store import MANIFEST_NAME, Store, StoreError
 
 __all__ = [
     "DEFAULT_CACHE_ENTRIES",
     "ENDPOINTS",
+    "CorruptStoreError",
     "EndpointMetrics",
     "QueryService",
     "RateLimitExceeded",
@@ -66,11 +70,21 @@ LATENCY_WINDOW = 4096
 
 
 class ServiceError(ValueError):
-    """Raised on unknown endpoints or invalid request arguments."""
+    """Raised when a request cannot be answered: an unknown endpoint, an
+    invalid argument, or one of the subclasses below."""
 
 
 class RateLimitExceeded(ServiceError):
     """Raised when a client's token bucket is empty (the request is shed)."""
+
+
+class CorruptStoreError(ServiceError):
+    """Raised when a segment the answer needs is malformed.
+
+    The message names the segment file and, for a block that fails to
+    decode, the block's index.  It is the store's fault, not the
+    request's: HTTP answers it 500.
+    """
 
 
 @dataclass(frozen=True)
@@ -239,20 +253,23 @@ def _endpoint_integrity(
     """Full physical/logical audit at one pinned generation.
 
     Counts every scan's rows across its segment parts and checks them
-    against the manifest totals.  Under concurrent ingest + compaction
-    this is the torn-read detector: a reader holding a mix of two
-    generations (or reading a half-deleted catalogue) cannot pass it.
-    The bench asserts ``consistent`` on every sample.
+    against the manifest totals.  The count comes from each block's
+    validated wire frame (:meth:`Store.count_rows`): every byte of every
+    listed block is read and checked as a full decode would check it,
+    but no row is built, so a call costs milliseconds, not a decode of
+    the whole store.  A malformed block is answered as a
+    :class:`CorruptStoreError`; a count that disagrees with the manifest
+    raises :class:`StoreError`.  Under concurrent ingest +
+    compaction this is the torn-read detector: a reader holding a mix of
+    two generations (or reading a half-deleted catalogue) cannot pass
+    it.  It is never cached, so every request recounts.
     """
     scans = 0
     rows = 0
     for round_id in store.rounds():
         for label in store.labels(round_id):
             info = store.scan_info(round_id, label)
-            counted = sum(
-                1
-                for stored in store.observations(round_id=round_id, label=label)
-            )
+            counted = store.count_rows(round_id, label)
             if counted != info["rows"]:
                 raise StoreError(
                     f"round {round_id} scan {label!r}: segment rows "
@@ -280,6 +297,9 @@ ENDPOINTS: "dict[str, Callable[[Store, StoreQuery, str | None], object]]" = {
     "integrity": _endpoint_integrity,
 }
 
+#: Endpoints answered afresh on every request, never from the cache.
+_UNCACHED_ENDPOINTS = frozenset({"integrity"})
+
 
 class QueryService:
     """Thread-safe serving layer over one store directory.
@@ -289,11 +309,13 @@ class QueryService:
     its view of the manifest before every request, so a store written by
     another object — or another process — is served without restarts.
 
-    Concurrency model: cache hits are served under a short lock; cold
-    reads additionally serialize on the store lock (the ``Store`` object
-    itself is not thread-safe).  Snapshot isolation comes from the
-    store's immutable segments plus refresh-and-retry on the compaction
-    delete window; see the module docstring.  The store's cached
+    Concurrency model: every request, a cache hit included, runs under
+    the store lock (the ``Store`` object itself is not thread-safe): it
+    refreshes the manifest and pins the generation there before it looks
+    in the cache.  The cache and the metrics sit behind a second, short
+    lock.  Snapshot isolation comes from the store's immutable segments
+    plus refresh-and-retry on the compaction delete window; see the
+    module docstring.  The store's cached
     :class:`~repro.store.index.StoreIndex` grows in place as new scans
     are folded, so the service reads it only under the store lock and
     every endpoint returns fresh lists, never the index's own sets.
@@ -356,8 +378,10 @@ class QueryService:
         """Serve one query, pinned to a single manifest generation.
 
         Raises :class:`ServiceError` for unknown endpoints or bad
-        arguments and :class:`RateLimitExceeded` when the client's
-        bucket is empty.
+        arguments, :class:`RateLimitExceeded` when the client's bucket is
+        empty, and :class:`CorruptStoreError` when a segment it reads is
+        malformed.  Every raise but a shed request counts in the
+        endpoint's ``errors``.
         """
         handler = ENDPOINTS.get(endpoint)
         if handler is None:
@@ -402,17 +426,21 @@ class QueryService:
         argument: "str | None",
     ) -> "tuple[int, object, bool]":
         last_error: "Exception | None" = None
+        cacheable = endpoint not in _UNCACHED_ENDPOINTS
         for _ in range(SNAPSHOT_RETRY_ATTEMPTS):
             with self._store_lock:
                 self._refresh_if_stale()
                 generation = self._store.generation
                 key = (endpoint, argument, generation)
-                with self._lock:
-                    if key in self._cache:
-                        self._cache.move_to_end(key)
-                        return generation, self._cache[key], True
+                if cacheable:
+                    with self._lock:
+                        if key in self._cache:
+                            self._cache.move_to_end(key)
+                            return generation, self._cache[key], True
                 try:
                     value = handler(self._store, self._query, argument)
+                except (SegmentError, WireFormatError) as error:
+                    raise CorruptStoreError(f"corrupt store: {error}") from error
                 except (FileNotFoundError, StoreError) as error:
                     # Compaction deleted an obsolete part from under this
                     # snapshot; adopt the newer manifest and re-run.  If
@@ -423,11 +451,12 @@ class QueryService:
                         raise ServiceError(str(error)) from error
                     self._manifest_signature = self._stat_signature()
                     continue
-                with self._lock:
-                    self._cache[key] = value
-                    self._cache.move_to_end(key)
-                    while len(self._cache) > self._cache_entries:
-                        self._cache.popitem(last=False)
+                if cacheable:
+                    with self._lock:
+                        self._cache[key] = value
+                        self._cache.move_to_end(key)
+                        while len(self._cache) > self._cache_entries:
+                            self._cache.popitem(last=False)
                 return generation, value, False
         raise ServiceError(
             f"query {endpoint!r} could not pin a stable snapshot after "

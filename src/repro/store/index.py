@@ -4,10 +4,11 @@ The index keeps the two inverted views the serving workloads need:
 
 * **engine ID → addresses** — which IPs ever answered with an engine ID
   (the §5 alias-resolution join key);
-* **device rollups** — per *device* (distinct engine ID) groupings by
-  IANA enterprise number, by MAC-OUI vendor, and by the paper's final
-  vendor verdict (:func:`repro.fingerprint.vendor.infer_vendor`), which
-  back the Figure 11/12 censuses straight from the store.
+* **device rollups** — per *device* (distinct raw engine ID) groupings
+  by IANA enterprise number, by MAC-OUI vendor, and by the paper's final
+  vendor verdict (:func:`repro.fingerprint.vendor.infer_vendor`): raw
+  analogues of the Figure 11/12 censuses, counted before the §4.4
+  filters and §5 de-aliasing.
 
 There is no address → history view: :meth:`Store.history
 <repro.store.store.Store.history>` answers point queries from the
@@ -27,7 +28,7 @@ from typing import Iterable
 
 from repro.fingerprint.vendor import infer_vendor
 from repro.net.addresses import IPAddress
-from repro.scanner.records import ScanObservation
+from repro.scanner.wire import ObservationColumns
 from repro.snmp.engine_id import EngineId
 
 #: Rollup bucket for engine IDs too short to carry an enterprise number.
@@ -54,32 +55,36 @@ class StoreIndex:
         self,
         round_id: int,
         label: str,
-        observations: Iterable[ScanObservation],
+        batches: Iterable[ObservationColumns],
     ) -> None:
-        """Fold one scan's rows into the views, all or nothing.
+        """Fold one scan's column batches into the views, all or nothing.
 
-        Every row is read before any view changes, so a read that fails
-        part way (a compaction deleting a part: ``FileNotFoundError``)
-        leaves the index as it was and the scan unfolded.  Vendor
-        inference runs once per engine ID new to the index.
+        Every batch is read before any view changes, so a read that
+        fails part way (a compaction deleting a part:
+        ``FileNotFoundError``) leaves the index as it was and the scan
+        unfolded.  Rows are staged as engine-ID bytes -> addresses; an
+        :class:`~repro.snmp.engine_id.EngineId` is built, and vendor
+        inference run, only for an engine ID new to the index.
         """
         rows = 0
-        staged: dict[bytes, tuple[EngineId, set[IPAddress]]] = {}
-        for observation in observations:
-            rows += 1
-            engine_id = observation.engine_id
-            if engine_id is None:
-                continue
-            entry = staged.get(engine_id.raw)
-            if entry is None:
-                entry = staged[engine_id.raw] = (engine_id, set())
-            entry[1].add(observation.address)
-        for raw, (engine_id, addresses) in staged.items():
+        staged: dict[bytes, set[IPAddress]] = {}
+        for columns in batches:
+            rows += len(columns.addresses)
+            for raw, address in zip(columns.engine_ids, columns.addresses):
+                if raw is None:
+                    continue
+                addresses = staged.get(raw)
+                if addresses is None:
+                    staged[raw] = {address}
+                else:
+                    addresses.add(address)
+        for raw, addresses in staged.items():
             members = self.engine_to_ips.get(raw)
             if members is not None:
                 members |= addresses
                 continue
             self.engine_to_ips[raw] = addresses
+            engine_id = EngineId(raw)
             enterprise = (
                 engine_id.enterprise
                 if engine_id.enterprise is not None
@@ -99,7 +104,13 @@ class StoreIndex:
         return len(self.engine_to_ips)
 
     def vendor_census(self) -> "list[tuple[str, int]]":
-        """(vendor, device count), largest first — Figure 11 from the index."""
+        """(vendor, distinct engine IDs), largest first.
+
+        A raw count: every folded row's engine ID counts once, without
+        the §4.4 filters or §5 de-aliasing behind the paper's Figure 11,
+        so shared and non-conforming engine IDs are included and one
+        device's aliases are not merged (ROADMAP item 6).
+        """
         return sorted(
             ((vendor, len(devs)) for vendor, devs in self.devices_by_vendor.items()),
             key=lambda kv: (-kv[1], kv[0]),

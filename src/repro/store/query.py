@@ -74,7 +74,8 @@ class StoreQuery:
         return self.index.device_count
 
     def vendor_census(self) -> "list[tuple[str, int]]":
-        """(vendor, devices) served straight from the index (Figure 11)."""
+        """(vendor, distinct raw engine IDs) from the index; see
+        :meth:`~repro.store.index.StoreIndex.vendor_census`."""
         return self.index.vendor_census()
 
     def enterprise_census(self) -> "list[tuple[int, int]]":

@@ -31,15 +31,21 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.net.addresses import IPAddress
 from repro.scanner.records import ScanObservation
 from repro.scanner.wire import (
+    ObservationColumns,
+    WireFormatError,
+    count_observations,
+    decode_columns,
     decode_observations,
     encode_observations,
     find_observation,
 )
+
+_T = TypeVar("_T")
 
 #: Segment format version, bumped on any incompatible layout change.
 SEGMENT_VERSION = 1
@@ -201,34 +207,37 @@ class SegmentReader:
         with self.path.open("rb") as handle:
             head = handle.read(len(MAGIC) + 1 + _U32.size)
             if len(head) < len(MAGIC) + 1 + _U32.size or head[: len(MAGIC)] != MAGIC:
-                raise SegmentError(f"{self.path} is not a store segment")
+                raise self._error("not a store segment")
             version = head[len(MAGIC)]
             if version != SEGMENT_VERSION:
-                raise SegmentError(f"unsupported segment version {version}")
+                raise self._error(f"unsupported version {version}")
             (meta_len,) = _U32.unpack_from(head, len(MAGIC) + 1)
             meta_bytes = handle.read(meta_len)
             if len(meta_bytes) != meta_len:
-                raise SegmentError("truncated segment meta")
-            self.meta = SegmentMeta.from_json(meta_bytes.decode("utf-8"))
+                raise self._error("truncated meta")
+            try:
+                self.meta = SegmentMeta.from_json(meta_bytes.decode("utf-8"))
+            except (ValueError, KeyError, TypeError) as error:
+                raise self._error(f"bad meta ({error!r})") from error
             handle.seek(0, 2)
             size = handle.tell()
             if size < _TRAILER.size:
-                raise SegmentError("segment too short for trailer")
+                raise self._error("too short for trailer")
             handle.seek(size - _TRAILER.size)
             footer_len, end_magic = _TRAILER.unpack(handle.read(_TRAILER.size))
             if end_magic != END_MAGIC:
-                raise SegmentError("bad segment end magic")
+                raise self._error("bad end magic")
             footer_start = size - _TRAILER.size - footer_len
             if footer_start < 0:
-                raise SegmentError("segment footer overruns file")
+                raise self._error("footer overruns file")
             handle.seek(footer_start)
             footer = handle.read(footer_len)
         if len(footer) < _U32.size:
-            raise SegmentError("truncated segment footer")
+            raise self._error("truncated footer")
         (count,) = _U32.unpack_from(footer, 0)
         expected = _U32.size + count * _FOOTER_ENTRY.size
         if len(footer) != expected:
-            raise SegmentError("segment footer length mismatch")
+            raise self._error("footer length mismatch")
         self.blocks: list[BlockInfo] = []
         for index in range(count):
             offset, length, rows, lo, hi = _FOOTER_ENTRY.unpack_from(
@@ -248,24 +257,58 @@ class SegmentReader:
     def rows(self) -> int:
         return sum(block.rows for block in self.blocks)
 
-    def _blobs(self, blocks: Iterable[BlockInfo]) -> Iterator[bytes]:
-        """The raw wire blobs of ``blocks``, read through one file handle."""
+    def _decoded(
+        self, blocks: "Sequence[BlockInfo]", decode: "Callable[[bytes], _T]"
+    ) -> Iterator[_T]:
+        """``decode`` applied to the blob of each of ``blocks``, in order.
+
+        The blobs are read through one file handle.  A short read is a
+        :class:`SegmentError` and a malformed blob a
+        :class:`~repro.scanner.wire.WireFormatError`; either names this
+        file and the block's index in it.
+        """
         with self.path.open("rb") as handle:
             for block in blocks:
                 handle.seek(block.offset)
                 blob = handle.read(block.length)
                 if len(blob) != block.length:
-                    raise SegmentError("truncated segment block")
-                yield blob
+                    raise self._error("truncated block", block)
+                try:
+                    value = decode(blob)
+                except WireFormatError as error:
+                    raise WireFormatError(self._where(block, str(error))) from error
+                yield value
+
+    def _where(self, block: "BlockInfo | None", why: str) -> str:
+        """``why``, prefixed with this file's name and ``block``'s index."""
+        where = f"segment {self.path.name}"
+        if block is not None:
+            where += f" block {self.blocks.index(block)}"
+        return f"{where}: {why}"
+
+    def _error(self, why: str, block: "BlockInfo | None" = None) -> SegmentError:
+        return SegmentError(self._where(block, why))
 
     def read_block(self, block: BlockInfo) -> list[ScanObservation]:
-        (blob,) = self._blobs((block,))
-        return decode_observations(blob)
+        (rows,) = self._decoded((block,), decode_observations)
+        return rows
 
     def observations(self) -> Iterator[ScanObservation]:
         """All rows in block order, decoded one block at a time."""
-        for blob in self._blobs(self.blocks):
-            yield from decode_observations(blob)
+        for rows in self._decoded(self.blocks, decode_observations):
+            yield from rows
+
+    def columns(self) -> Iterator[ObservationColumns]:
+        """Each block's rows as columns, in block order; no row is built."""
+        return self._decoded(self.blocks, decode_columns)
+
+    def count_rows(self) -> int:
+        """Rows counted from each block's validated frame; no row is built.
+
+        Reads and validates every block like :meth:`observations`, so it
+        raises on the same corruptions, but only sums the frame counts.
+        """
+        return sum(self._decoded(self.blocks, count_observations))
 
     def lookup(self, address: IPAddress) -> "ScanObservation | None":
         """The first row at ``address``, or ``None``; builds at most one row.
@@ -278,8 +321,9 @@ class SegmentReader:
         candidates = [block for block in self.blocks if block.may_contain(address)]
         if not candidates:
             return None  # every block pruned: the file is not even opened
-        for blob in self._blobs(candidates):
-            found = find_observation(blob, address)
+        for found in self._decoded(
+            candidates, lambda blob: find_observation(blob, address)
+        ):
             if found is not None:
                 return found
         return None

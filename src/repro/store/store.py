@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.net.addresses import IPAddress
 from repro.scanner.records import ScanObservation, ScanResult
+from repro.scanner.wire import ObservationColumns
 from repro.store.index import StoreIndex
 from repro.store.segment import (
     DEFAULT_BLOCK_ROWS,
@@ -548,6 +549,25 @@ class Store:
         for name in self._scan_entry(round_id, label)["segments"]:
             yield from self._reader(name).observations()
 
+    def _scan_columns(
+        self, round_id: int, label: str
+    ) -> Iterator[ObservationColumns]:
+        """One scan's blocks as columns in storage order; no row is built."""
+        for name in self._scan_entry(round_id, label)["segments"]:
+            yield from self._reader(name).columns()
+
+    def count_rows(self, round_id: int, label: str) -> int:
+        """One scan's rows, counted from the validated frame of every
+        block of every part; no row is built.
+
+        Every listed block is read and validated in full, so a corrupt
+        or missing part raises as a full decode would.
+        """
+        return sum(
+            self._reader(name).count_rows()
+            for name in self._scan_entry(round_id, label)["segments"]
+        )
+
     def scan_result(self, round_id: int, label: str) -> ScanResult:
         """Rebuild one scan as a legacy :class:`ScanResult`."""
         info = self._scan_entry(round_id, label)
@@ -598,9 +618,9 @@ class Store:
 
         Each call folds only the scans the manifest lists that the index
         has not folded yet, so after an ingest it decodes just the new
-        scan's rows.  Compaction keeps every row and leaves the index as
-        it is; :meth:`refresh` discards it only when a folded scan is no
-        longer listed.  A fold cut short by a part deleted under it
+        scan, as columns.  Compaction keeps every row and leaves the
+        index as it is; :meth:`refresh` discards it only when a folded
+        scan is no longer listed.  A fold cut short by a part deleted under it
         (``FileNotFoundError``, which :class:`~repro.service.query.QueryService`
         retries after :meth:`refresh`) leaves its scan unfolded, so the
         retried index equals one built from scratch.
@@ -611,7 +631,7 @@ class Store:
         for rid in self.rounds():
             for label in self.labels(rid):
                 if (rid, label) not in index.folded:
-                    index.fold_scan(rid, label, self._scan_rows(rid, label))
+                    index.fold_scan(rid, label, self._scan_columns(rid, label))
         return index
 
     # -- timelines ---------------------------------------------------------
@@ -620,8 +640,9 @@ class Store:
         """Device timelines over all stored rounds, folded incrementally.
 
         The accumulator is cached: a call after a new round's ingest
-        folds only that round.  (Ingesting into an *already folded*
-        round discards the cache — correctness beats incrementality.)
+        folds only that round, decoded as columns.  (Ingesting into an
+        *already folded* round discards the cache — correctness beats
+        incrementality.)
         """
         acc = self._timeline_acc
         if acc is None:
@@ -631,11 +652,13 @@ class Store:
         for rid in self.rounds():
             if rid in acc.folded_rounds:
                 continue
+            # Every block is decoded before the fold starts, so a read
+            # that fails part way leaves the accumulator as it was.
             scans = [
                 (
                     label,
                     self._scan_entry(rid, label)["started_at"],
-                    list(self._scan_rows(rid, label)),
+                    list(self._scan_columns(rid, label)),
                 )
                 for label in self.labels(rid)
             ]

@@ -12,6 +12,8 @@ from repro.scanner.records import ScanObservation
 from repro.scanner.wire import (
     WIRE_VERSION,
     WireFormatError,
+    count_observations,
+    decode_columns,
     decode_observations,
     encode_observations,
     find_observation,
@@ -331,3 +333,74 @@ def test_point_decoder_rejects_exactly_what_decode_rejects(batch, data):
             else:
                 assert found[0] == "ok", bad
                 assert same_row(found[1], scan_for(decoded[1], key)), bad
+
+
+# -- column decoder and frame counter properties ---------------------------------
+
+
+def rows_from_columns(columns):
+    """Rebuild observations from :func:`decode_columns` output, field by field."""
+    return [
+        ScanObservation(
+            address=address,
+            recv_time=recv_time,
+            engine_id=None if raw is None else EngineId(raw),
+            engine_boots=boots,
+            engine_time=etime,
+            response_count=responses,
+            wire_bytes=size,
+        )
+        for address, recv_time, raw, boots, etime, responses, size in zip(
+            columns.addresses,
+            columns.recv_times,
+            columns.engine_ids,
+            columns.engine_boots,
+            columns.engine_times,
+            columns.response_counts,
+            columns.wire_bytes,
+        )
+    ]
+
+
+def same_rows(got, expected):
+    """List equality that also holds for NaN receive times (see ``same_row``)."""
+    return len(got) == len(expected) and all(map(same_row, got, expected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=batches())
+def test_columns_agree_field_for_field_with_rows(batch):
+    blob = encode_observations(batch)
+    columns = decode_columns(blob)
+    assert {len(field) for field in columns} == {len(batch)}
+    assert count_observations(blob) == len(batch)
+    assert rows_from_columns(columns) == decode_observations(blob) == batch
+    assert list(columns.engine_ids) == [
+        None if obs.engine_id is None else obs.engine_id.raw for obs in batch
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=batches(), data=st.data())
+def test_columns_and_count_reject_exactly_what_decode_rejects(batch, data):
+    """Every truncation, one flip at every byte and one trailing byte:
+    the column decoder and the frame counter raise iff
+    ``decode_observations`` does, and on a blob all accept they agree
+    with its rows."""
+    blob = encode_observations(batch)
+    masks = data.draw(st.binary(min_size=len(blob), max_size=len(blob)))
+    damaged = [blob[:cut] for cut in range(len(blob))]
+    damaged += [
+        blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
+        for at, mask in enumerate(masks)
+        if mask
+    ]
+    damaged.append(blob + data.draw(st.binary(min_size=1, max_size=1)))
+    for bad in damaged:
+        decoded = outcome(decode_observations, bad)
+        columns = outcome(decode_columns, bad)
+        counted = outcome(count_observations, bad)
+        assert columns[0] == counted[0] == decoded[0], bad
+        if decoded[0] == "ok":
+            assert counted[1] == len(decoded[1]), bad
+            assert same_rows(rows_from_columns(columns[1]), decoded[1]), bad

@@ -6,7 +6,7 @@ import pytest
 
 from repro.scanner.records import ScanObservation, ScanResult
 from repro.snmp.engine_id import EngineId
-from repro.store import Store
+from repro.store import SegmentReader, Store
 
 
 def make_engine(tag: int) -> EngineId:
@@ -75,6 +75,17 @@ def populate(root, *, rounds: int = 2, devices: int = 8) -> Store:
         for scan in synthetic_round(round_id, devices=devices):
             store.ingest_result(scan, round_id=round_id)
     return store
+
+
+def corrupt_first_block(store: Store) -> str:
+    """Set the wire-version byte of block 0 of round 1's first ``v4-1``
+    part to 9 (the block holding 10.1.0.1); returns the part's name."""
+    (path, *__) = store.segment_paths(1, "v4-1")
+    offset = SegmentReader(path).blocks[0].offset
+    data = bytearray(path.read_bytes())
+    data[offset] = 9
+    path.write_bytes(bytes(data))
+    return path.name
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ from repro.net.ratelimit import RateLimit
 from repro.service.http import ServiceHttpServer
 from repro.service.query import QueryService
 
-from .conftest import populate
+from .conftest import corrupt_first_block, populate
 
 
 def fetch(address, path):
@@ -178,6 +178,38 @@ class TestKeepAlive:
             assert conn.sock is sock
         finally:
             conn.close()
+
+
+    def test_corrupt_block_is_500_and_keeps_the_connection(self, tmp_path):
+        """A block that fails to decode is answered 500 with an error
+        naming the part and block, counted in ``errors``, and the
+        socket serves the next request."""
+        store = populate(tmp_path / "obs")
+        service = QueryService(store=store)
+        name = corrupt_first_block(store)
+        with ServiceHttpServer(service=service, port=0) as server:
+            server.start()
+            conn = http.client.HTTPConnection(*server.address, timeout=10)
+            try:
+                sock = None
+                for path in ("/v1/integrity", "/v1/history?arg=10.1.0.1"):
+                    conn.request("GET", path)
+                    response = conn.getresponse()
+                    body = json.loads(response.read())
+                    assert response.status == 500, path
+                    assert f"{name} block 0" in body["error"], body
+                    sock = sock or conn.sock
+                    assert conn.sock is sock
+                conn.request("GET", "/v1/rounds")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["value"] == [1, 2]
+                assert conn.sock is sock
+            finally:
+                conn.close()
+        endpoints = service.metrics_summary()["endpoints"]
+        assert endpoints["integrity"]["errors"] == 1
+        assert endpoints["history"]["errors"] == 1
 
 
 class TestLifecycle:

@@ -12,7 +12,7 @@ from repro.service.query import (
 )
 from repro.store import Store
 
-from .conftest import populate, synthetic_round
+from .conftest import corrupt_first_block, populate, synthetic_round
 
 
 class TestEndpoints:
@@ -93,7 +93,50 @@ class TestEndpoints:
             QueryService(store=tmp_path / "obs", cache_entries=0)
 
 
+class TestCorruptStore:
+    def test_a_corrupt_block_is_an_error_naming_the_part_and_block(
+        self, tmp_path
+    ):
+        """Every endpoint that reads the corrupt block raises a
+        ServiceError naming the part and block, counted in ``errors``;
+        endpoints that read only the manifest still answer."""
+        store = populate(tmp_path / "obs")
+        service = QueryService(store=store)
+        name = corrupt_first_block(store)
+        readers = {
+            "integrity": None,
+            "history": "10.1.0.1",
+            "device-count": None,
+            "timeline-summary": None,
+        }
+        for endpoint, argument in readers.items():
+            with pytest.raises(ServiceError) as caught:
+                service.request(endpoint, argument)
+            message = str(caught.value)
+            assert f"{name} block 0" in message, message
+            assert "wire version 9" in message, message
+        assert service.request("rounds").value == [1, 2]
+        summary = service.metrics_summary()
+        for endpoint in readers:
+            metrics = summary["endpoints"][endpoint]
+            assert metrics["errors"] == metrics["requests"] == 1, endpoint
+        assert summary["requests"] == (
+            summary["hits"] + summary["misses"] + summary["shed"]
+            + sum(m["errors"] for m in summary["endpoints"].values())
+        )
+
+
 class TestCache:
+    def test_integrity_is_never_served_from_the_cache(self, tmp_path):
+        service = QueryService(store=populate(tmp_path / "obs"))
+        first = service.request("integrity")
+        second = service.request("integrity")
+        assert first.generation == second.generation
+        assert first.cached is False and second.cached is False
+        assert second.value == first.value
+        assert service.request("rounds").cached is False
+        assert service.request("rounds").cached is True
+
     def test_second_request_hits_the_cache(self, tmp_path):
         service = QueryService(store=populate(tmp_path / "obs"))
         assert service.request("rounds").cached is False

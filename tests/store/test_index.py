@@ -188,16 +188,17 @@ def snapshot(index):
 
 
 def recording_decodes(monkeypatch):
-    """Patch segment decoding to log the segment name of every row."""
+    """Patch the column decoding the index folds from to log the
+    segment name of every row it decodes."""
     decoded = []
-    original = SegmentReader.observations
+    original = SegmentReader.columns
 
-    def observations(self):
-        for observation in original(self):
-            decoded.append(self.path.name)
-            yield observation
+    def columns(self):
+        for batch in original(self):
+            decoded.extend([self.path.name] * len(batch.addresses))
+            yield batch
 
-    monkeypatch.setattr(SegmentReader, "observations", observations)
+    monkeypatch.setattr(SegmentReader, "columns", columns)
     return decoded
 
 
@@ -235,16 +236,16 @@ def test_interrupted_fold_retries_to_the_brute_force_answer(
     assert len(parts) == 3
 
     writer = Store(root=store.root, segment_rows=SEGMENT_ROWS)
-    original = SegmentReader.observations
+    original = SegmentReader.columns
     compactions = []
 
-    def observations(self):
+    def columns(self):
         if self.path.name == parts[1] and not compactions:
-            compactions.append(None)  # the compaction reads this part too
+            compactions.append(None)  # fire once
             compactions[0] = writer.compact()  # deletes every old part
         yield from original(self)
 
-    monkeypatch.setattr(SegmentReader, "observations", observations)
+    monkeypatch.setattr(SegmentReader, "columns", columns)
     with pytest.raises(FileNotFoundError):
         store.index()
     assert compactions[0].scans_compacted >= 1

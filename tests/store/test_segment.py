@@ -193,6 +193,15 @@ class TestCorruption:
         with pytest.raises(SegmentError):
             SegmentReader(path)
 
+    def test_bad_meta_is_a_segment_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "meta.seg"
+        write_segment(path, META, sample_rows(3))
+        data = bytearray(path.read_bytes())
+        data[data.index(b'"label"')] = ord("X")  # the meta is no longer JSON
+        path.write_bytes(bytes(data))
+        with pytest.raises(SegmentError, match="meta.seg: bad meta"):
+            SegmentReader(path)
+
     def test_bad_block_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_segment(tmp_path / "x.seg", META, [], block_rows=0)

@@ -2,6 +2,7 @@
 
 import ipaddress
 import json
+import random
 
 import pytest
 
@@ -88,6 +89,56 @@ class TestIngest:
         stats = store.ingest_campaign(result)
         assert [s.label for s in stats] == ["v6-1", "v4-1"]
         assert store.labels(1) == ["v6-1", "v4-1"]
+
+
+class TestFrameCounts:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_count_rows_equals_decode_and_manifest(self, tmp_path, seed):
+        """Multi-part scans of 2-row blocks, one family, the other or
+        both in one block, and an empty scan: the frame count of every
+        scan equals its decoded rows and its manifest total, before and
+        after compaction."""
+        rng = random.Random(seed)
+        store = Store(root=tmp_path / "s", segment_rows=6, block_rows=2)
+        families = {"v4": (4,), "v6": (6,), "mixed": (4, 6)}
+        for round_id in (1, 2):
+            for label, versions in families.items():
+                rows = [
+                    make_obs(
+                        f"10.0.{round_id}.{n}"
+                        if rng.choice(versions) == 4
+                        else f"2001:db8::{round_id}:{n}",
+                        float(n),
+                        rng.choice((make_engine(n % 5), None)),
+                    )
+                    for n in range(rng.randint(0, 20))
+                ]
+                store.ingest_scan(
+                    rows, round_id=round_id, label=label,
+                    ip_version=versions[0], started_at=float(round_id),
+                )
+        store.ingest_scan(
+            [], round_id=2, label="empty", ip_version=4, started_at=9.0
+        )
+        assert any(
+            len(store.scan_info(1, label)["segments"]) > 1 for label in families
+        )
+
+        def counts():
+            return {
+                (rid, label): (
+                    store.count_rows(rid, label),
+                    sum(1 for __ in store.observations(rid, label)),
+                    store.scan_info(rid, label)["rows"],
+                )
+                for rid in store.rounds()
+                for label in store.labels(rid)
+            }
+
+        before = counts()
+        assert all(a == b == c for a, b, c in before.values()), before
+        assert store.compact().scans_compacted >= 1
+        assert counts() == before
 
 
 class TestPersistence:

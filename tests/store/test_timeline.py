@@ -1,9 +1,12 @@
 """Timeline folding vs a brute-force in-memory reference recomputation."""
 
+import dataclasses
 import ipaddress
+import random
 
 import pytest
 
+from repro.scanner.wire import decode_columns, encode_observations
 from repro.store.timeline import (
     DEFAULT_REBOOT_THRESHOLD,
     KIND_BOOTS_INCREMENT,
@@ -88,10 +91,34 @@ def brute_force(corpus, threshold=DEFAULT_REBOOT_THRESHOLD):
     return events, diffs, uptimes
 
 
+#: Rows per encoded batch, so most scans arrive as several batches.
+BATCH_ROWS = 3
+
+
+def fold(acc, round_id, scans):
+    """Fold ``(label, started_at, rows)`` scans the way the store does:
+    each scan's rows are encoded to wire blobs of ``BATCH_ROWS`` rows and
+    handed over as their decoded columns."""
+    acc.fold_round(
+        round_id,
+        [
+            (
+                label,
+                started_at,
+                [
+                    decode_columns(encode_observations(rows[at : at + BATCH_ROWS]))
+                    for at in range(0, len(rows), BATCH_ROWS)
+                ],
+            )
+            for label, started_at, rows in scans
+        ],
+    )
+
+
 def fold_corpus(corpus, **kwargs):
     acc = TimelineAccumulator(**kwargs)
     for round_id, scans in corpus:
-        acc.fold_round(round_id, scans)
+        fold(acc, round_id, scans)
     return acc
 
 
@@ -180,6 +207,50 @@ class TestRandomCorpora:
             random_rounds(seed, rounds=5, devices=40)
         )
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lowest_address_represents_an_aliased_engine(self, seed):
+        """Half the rows gain an alias row: the same engine on a second
+        address, lower or higher than the first, reporting an engine
+        time 500 s apart.  Which row represents the engine in its scan
+        now decides the events, and it must be the lowest address.
+        (The reference's uptimes are its representatives only, while
+        the accumulator samples every row, so uptimes are compared with
+        every row's engine time instead.)"""
+        rng = random.Random(seed)
+        corpus = [
+            (round_id, [
+                (label, started, observations + [
+                    dataclasses.replace(
+                        obs,
+                        address=ipaddress.ip_address(
+                            f"10.0.50.{obs.engine_id.raw[-1] + 1}"
+                        ),
+                        engine_time=obs.engine_time + rng.choice((-500, 500)),
+                    )
+                    for obs in observations
+                    if rng.random() < 0.5
+                ])
+                for label, started, observations in scans
+            ])
+            for round_id, scans in random_rounds(seed)
+        ]
+        acc = fold_corpus(corpus)
+        events, diffs, __ = brute_force(corpus)
+        assert [
+            (e.round_id, e.label, e.engine_id, e.kind, e.boots_before, e.boots_after)
+            for e in acc.reboot_events()
+        ] == events
+        assert [
+            (d.prev_round, d.next_round, d.born, d.died, d.moved)
+            for d in acc.diffs
+        ] == diffs
+        assert acc.uptime_ecdf_inputs() == sorted(
+            obs.engine_time
+            for __, scans in corpus
+            for __, __, observations in scans
+            for obs in observations
+        )
+
     def test_within_scan_order_is_irrelevant(self):
         corpus = random_rounds(7)
         shuffled = [
@@ -199,11 +270,11 @@ class TestRandomCorpora:
 class TestFoldContract:
     def test_out_of_order_round_raises(self, three_rounds):
         acc = TimelineAccumulator()
-        acc.fold_round(2, three_rounds[1][1])
+        fold(acc, 2, three_rounds[1][1])
         with pytest.raises(TimelineError, match="out of order"):
-            acc.fold_round(1, three_rounds[0][1])
+            fold(acc, 1, three_rounds[0][1])
         with pytest.raises(TimelineError):
-            acc.fold_round(2, three_rounds[1][1])
+            fold(acc, 2, three_rounds[1][1])
 
     def test_threshold_suppresses_small_jumps(self):
         engine = make_engine(5)
@@ -214,16 +285,16 @@ class TestFoldContract:
                                      boots=1, engine_time=145)]),
         ]
         acc = TimelineAccumulator()
-        acc.fold_round(1, scans)
+        fold(acc, 1, scans)
         # last_reboot drifts 50 -> 55: below the 10s threshold.
         assert acc.reboot_events() == []
         loose = TimelineAccumulator(reboot_threshold=4.0)
-        loose.fold_round(1, scans)
+        fold(loose, 1, scans)
         assert len(loose.reboot_events()) == 1
 
     def test_anonymous_observations_ignored(self):
         scans = [("s-1", 1.0, [make_obs("10.0.0.1", 1.0, None)])]
         acc = TimelineAccumulator()
-        acc.fold_round(1, scans)
+        fold(acc, 1, scans)
         assert acc.timelines == {}
         assert acc.summary()["devices"] == 0
