@@ -19,7 +19,9 @@ Encoding is lossless and order-preserving: ``decode_observations(
 encode_observations(batch)) == batch`` for every observation the scan
 path can produce (property-tested in ``tests/scanner/test_wire.py``).
 A typical discovery batch shrinks well over 3x versus per-instance
-pickling — measured by ``benchmarks/test_bench_parallel.py``.
+pickling — asserted on random batches in ``tests/scanner/test_wire.py``
+and on a whole campaign's pool traffic in
+``tests/scanner/test_executor.py``.
 
 Four decoders share one frame parser, which validates the whole blob
 and locates its columns before any row is built, so all four reject

@@ -35,6 +35,7 @@ from repro.service.query import (
     RateLimitExceeded,
     ServiceError,
     ServiceResponse,
+    UnknownEndpointError,
 )
 from repro.service.scheduler import (
     DEFAULT_JOBS,
@@ -59,4 +60,5 @@ __all__ = [
     "ServiceHttpServer",
     "ServiceResponse",
     "ServiceScheduler",
+    "UnknownEndpointError",
 ]

@@ -10,10 +10,10 @@ thread per connection, every request funnelled through the thread-safe
 * ``GET /healthz`` — liveness plus the current generation.
 
 Rate-limited requests return ``429``; bad arguments ``400``; unknown
-paths ``404``; a malformed segment the answer needs ``500``, naming the
-segment file and block (the connection stays open).  Clients are
-identified by the ``client`` query parameter when present, else by
-their remote address.
+paths and endpoints ``404``; a malformed segment the answer needs
+``500``, naming the segment file and block (the connection stays open).
+Clients are identified by the ``client`` query parameter when present,
+else by their remote address.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.service.query import (
     QueryService,
     RateLimitExceeded,
     ServiceError,
+    UnknownEndpointError,
 )
 
 __all__ = ["ServiceHttpServer"]
@@ -81,9 +82,11 @@ class _Handler(BaseHTTPRequestHandler):
         except CorruptStoreError as error:
             self._send_json(500, {"error": str(error)})
             return
+        except UnknownEndpointError as error:
+            self._send_json(404, {"error": str(error)})
+            return
         except ServiceError as error:
-            status = 404 if "unknown endpoint" in str(error) else 400
-            self._send_json(status, {"error": str(error)})
+            self._send_json(400, {"error": str(error)})
             return
         self._send_json(
             200,

@@ -55,6 +55,7 @@ __all__ = [
     "RateLimitExceeded",
     "ServiceError",
     "ServiceResponse",
+    "UnknownEndpointError",
 ]
 
 #: Default LRU capacity (distinct ``(generation, endpoint, arg)`` keys).
@@ -72,6 +73,10 @@ LATENCY_WINDOW = 4096
 class ServiceError(ValueError):
     """Raised when a request cannot be answered: an unknown endpoint, an
     invalid argument, or one of the subclasses below."""
+
+
+class UnknownEndpointError(ServiceError):
+    """Raised for an endpoint name that is not in :data:`ENDPOINTS`."""
 
 
 class RateLimitExceeded(ServiceError):
@@ -377,16 +382,19 @@ class QueryService:
     ) -> ServiceResponse:
         """Serve one query, pinned to a single manifest generation.
 
-        Raises :class:`ServiceError` for unknown endpoints or bad
-        arguments, :class:`RateLimitExceeded` when the client's bucket is
-        empty, and :class:`CorruptStoreError` when a segment it reads is
-        malformed.  Every raise but a shed request counts in the
-        endpoint's ``errors``.
+        Raises :class:`UnknownEndpointError` for an unknown endpoint,
+        :class:`ServiceError` for a bad argument,
+        :class:`RateLimitExceeded` when the client's bucket is empty, and
+        :class:`CorruptStoreError` when a segment it reads is malformed.
+        Every raise but a shed request counts in the endpoint's
+        ``errors``.
         """
         handler = ENDPOINTS.get(endpoint)
         if handler is None:
             known = ", ".join(self.endpoints())
-            raise ServiceError(f"unknown endpoint {endpoint!r} (known: {known})")
+            raise UnknownEndpointError(
+                f"unknown endpoint {endpoint!r} (known: {known})"
+            )
         started = self._clock.now()
         with self._lock:
             metrics = self._metrics.get(endpoint)

@@ -117,12 +117,6 @@ class DeviceTimeline:
     def rounds_seen(self) -> int:
         return len(self.members)
 
-    def uptime_samples(self) -> "list[tuple[int, str, int]]":
-        """(round, label, engine_time) triples — the §7 ECDF inputs."""
-        return [
-            (s.round_id, s.label, s.engine_time) for s in self.sightings
-        ]
-
     def member_history(self) -> "list[tuple[int, frozenset[IPAddress]]]":
         return sorted(self.members.items())
 

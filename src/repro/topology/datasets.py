@@ -358,15 +358,6 @@ class StreamedRouterDatasets:
             return self._router_v6_hitlist(address)[1]
         return self._endhost_v6_hitlist(device, address)[1]
 
-    def in_hitlist_targets_v6(self, address: IPAddress) -> bool:
-        """Whether one v6 address is on the broad scan-target list."""
-        if address.version != 6:
-            return False
-        device = self._owned_device(address)
-        if device is None:
-            return False
-        return self._hitlist_v6(device, address)
-
     # -- streaming -----------------------------------------------------------
 
     def iter_hitlist_targets_v6(self) -> Iterator[IPAddress]:

@@ -393,10 +393,6 @@ class StreamPlan:
             for offset in range(1, plan.n_devices * self.block + 1):
                 yield ipaddress.IPv4Address(base + offset)
 
-    @property
-    def v4_target_count(self) -> int:
-        return sum(plan.n_devices for plan in self.plans) * self.block
-
 
 def build_as_objects(plan: StreamPlan) -> dict[int, AutonomousSystem]:
     """AS model objects for a stream plan (``device_ids`` left to callers)."""
@@ -1098,10 +1094,6 @@ class LazyTopology:
             self._churn_maps.clear()
             self._churn_entries = 0
 
-    @property
-    def churn_versions(self) -> tuple[int, ...]:
-        return tuple(self._churn_versions)
-
     def churn_map(self, version: int, asn: int) -> dict[IPAddress, int]:
         key = (version, asn)
         cached = self._churn_maps.get(key)
@@ -1309,7 +1301,3 @@ class LazyTopology:
     def max_resident(self) -> int:
         """The residency cap consumers should budget strong refs against."""
         return self._max_resident
-
-    @property
-    def resident_count(self) -> int:
-        return len(self._canonical)

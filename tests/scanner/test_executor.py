@@ -1,6 +1,7 @@
 """Tests for the sharded, streaming scan executor."""
 
 import ipaddress
+import pickle
 
 import pytest
 
@@ -47,15 +48,35 @@ def serial_result():
     return campaign.run()
 
 
+@pytest.fixture(scope="module")
+def parallel_result():
+    __, campaign = _run_campaign(workers=4)
+    return campaign.run()
+
+
 class TestDeterminism:
-    def test_worker_count_does_not_change_results(self, serial_result):
+    def test_worker_count_does_not_change_results(
+        self, serial_result, parallel_result
+    ):
         """The tentpole contract: 1-worker and 4-worker runs are identical."""
-        __, campaign = _run_campaign(workers=4)
-        parallel_result = campaign.run()
         assert set(parallel_result.scans) == set(SCAN_LABELS)
         for label in SCAN_LABELS:
             assert _scan_fingerprint(parallel_result.scans[label]) == \
                 _scan_fingerprint(serial_result.scans[label]), label
+
+    def test_pool_ipc_beats_per_observation_pickle(
+        self, serial_result, parallel_result
+    ):
+        """Workers ship a whole campaign in columnar blobs at least 3x
+        smaller than pickling each of its observations on its own."""
+        ipc_bytes = sum(m.ipc_bytes for m in parallel_result.metrics.values())
+        pickled = sum(
+            len(pickle.dumps(obs))
+            for scan in serial_result.scans.values()
+            for obs in scan.observations.values()
+        )
+        assert ipc_bytes > 0
+        assert ipc_bytes * 3 <= pickled, (ipc_bytes, pickled)
 
     def test_rerun_is_reproducible(self, serial_result):
         __, campaign = _run_campaign(workers=1)

@@ -7,16 +7,22 @@ them.  These tests pin the properties that make that safe:
 
 * the full four-scan campaign — including the inter-scan reboot window
   and per-family DHCP churn — is byte-identical between a lazy view and
-  the eagerly built streamed world (the churn scheduling regression);
+  the eagerly built streamed world (the churn scheduling regression),
+  and replays byte for byte over fresh worlds of either kind;
 * results are lazy/eager-identical at every planning-window size and
   worker-invariant at a fixed window (the window, like the shard count,
   is part of the deterministic result geometry);
-* the residency cap genuinely bounds live devices while changing nothing;
+* the residency cap genuinely bounds live devices while changing nothing,
+  and peak RSS stays flat while a lazy campaign's targets grow tenfold;
 * ground truth on lazy campaigns is queried from the topology
   (``result.bindings`` stays empty by contract).
 """
 
 from __future__ import annotations
+
+import json
+import subprocess
+import sys
 
 import pytest
 
@@ -87,6 +93,18 @@ def test_multi_scan_family_is_byte_identical_lazy_vs_eager(eager_fingerprint):
     config = make_config()
     lazy_result = run_streamed(LazyTopology(config=config), config)
     assert scans_fingerprint(lazy_result) == eager_fingerprint
+
+
+def test_fresh_worlds_replay_byte_identically(eager_fingerprint):
+    """A world is a pure function of its seed: campaigns over freshly
+    built worlds in one process, eager and lazy, reproduce the first
+    eager campaign and each other byte for byte."""
+    config = make_config()
+    eager_again = run_streamed(build_topology(config), config)
+    lazy = [run_streamed(LazyTopology(config=config), config) for _ in range(2)]
+    assert scans_fingerprint(eager_again) == eager_fingerprint
+    assert scans_fingerprint(lazy[0]) == scans_fingerprint(lazy[1])
+    assert scans_fingerprint(lazy[1]) == eager_fingerprint
 
 
 def test_campaign_genuinely_churns_and_reboots(eager_result):
@@ -173,6 +191,68 @@ def test_residency_cap_bounds_live_devices():
     # state alive.  Derivations stay below the device count because the
     # snapshot filter keeps closed devices from ever materializing.
     assert lazy.derivations > lazy.max_resident
+
+
+#: One lazy campaign in a fresh interpreter, so its peak RSS is that
+#: campaign's alone.  The peak is the kernel's VmHWM for the process, not
+#: ``ru_maxrss``: Linux carries ``ru_maxrss`` across ``execve``, so a
+#: child of a large pytest process would report its parent's peak.  The
+#: window is smaller than the small tier, so both tiers run many windows
+#: and the ratio measures growth, not the one-window state.
+_RSS_CHILD = r"""
+import json, re, sys
+from repro.scanner.campaign import ScanCampaign
+from repro.scanner.executor import ExecutionOptions
+from repro.topology.config import TopologyConfig
+from repro.topology.lazy import LazyTopology
+
+config = TopologyConfig.streamed(divisor=float(sys.argv[1]), seed=2021)
+topology = LazyTopology(config=config, max_resident=512)
+campaign = ScanCampaign(
+    topology=topology, config=config,
+    options=ExecutionOptions(target_window=4096),
+)
+probes = 0
+for stream in campaign.run_streaming():
+    for batch in stream.batches():
+        pass
+    probes += stream.execution.metrics.probes_sent
+with open("/proc/self/status") as status:
+    peak_kb = int(re.search(r"VmHWM:\s+(\d+) kB", status.read()).group(1))
+print(json.dumps({
+    "targets_probed": probes,
+    "peak_rss_kb": peak_kb,
+    "device_count": topology.device_count,
+    "peak_resident": topology.peak_resident,
+    "max_resident": topology.max_resident,
+}))
+"""
+
+
+def _measure_lazy_campaign(divisor: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_CHILD, str(divisor)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_peak_rss_stays_flat_across_a_tenfold_lazy_campaign():
+    """A lazy campaign's memory is a function of its residency window,
+    not of the address space: ~19k then ~194k targets, each tier in its
+    own process."""
+    small, big = (_measure_lazy_campaign(d) for d in (4000.0, 400.0))
+    for tier in (small, big):
+        assert tier["peak_resident"] <= 2 * tier["max_resident"], tier
+        if tier["device_count"] > 2 * tier["max_resident"]:
+            assert tier["peak_resident"] < tier["device_count"], tier
+        assert tier["peak_rss_kb"] / 1024.0 <= 512, tier
+    growth = big["targets_probed"] / small["targets_probed"]
+    rss_ratio = big["peak_rss_kb"] / small["peak_rss_kb"]
+    assert growth > 5, "tiers must differ enough to prove anything"
+    assert rss_ratio < 1.5, (
+        f"peak RSS grew {rss_ratio:.2f}x over a {growth:.1f}x target growth"
+    )
 
 
 def test_streaming_never_prebinds_the_fabric():

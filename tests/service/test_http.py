@@ -69,6 +69,22 @@ class TestRouting:
         assert status == 400
         assert "invalid round id" in body["error"]
 
+    @pytest.mark.parametrize(
+        "path, error",
+        [
+            ("/v1/history?arg=unknown%20endpoint", "invalid address"),
+            ("/v1/round-summary?arg=unknown%20endpoint%20x", "invalid round id"),
+            ("/v1/history?arg=not%20an%20address", "invalid address"),
+        ],
+    )
+    def test_bad_argument_is_400_whatever_it_says(
+        self, server, path, error
+    ):
+        """Status follows the error's type, not its text."""
+        status, body = fetch(server.address, path)
+        assert status == 400
+        assert error in body["error"]
+
     def test_unknown_path_is_404(self, server):
         status, body = fetch(server.address, "/elsewhere")
         assert status == 404

@@ -9,6 +9,7 @@ from repro.service.query import (
     QueryService,
     RateLimitExceeded,
     ServiceError,
+    UnknownEndpointError,
 )
 from repro.store import Store
 
@@ -78,8 +79,27 @@ class TestEndpoints:
         )
 
     def test_unknown_endpoint_lists_known_ones(self, service):
-        with pytest.raises(ServiceError, match="unknown endpoint 'nope'"):
+        with pytest.raises(
+            UnknownEndpointError, match="unknown endpoint 'nope'"
+        ):
             service.request("nope")
+
+    @pytest.mark.parametrize(
+        "endpoint, argument",
+        [
+            ("history", "unknown endpoint"),
+            ("round-summary", "unknown endpoint x"),
+            ("round-summary", "999"),
+        ],
+    )
+    def test_a_bad_argument_is_not_an_unknown_endpoint(
+        self, service, endpoint, argument
+    ):
+        """The error type, not its text, says which failure it is: an
+        argument that spells "unknown endpoint" is still a bad argument."""
+        with pytest.raises(ServiceError) as caught:
+            service.request(endpoint, argument)
+        assert not isinstance(caught.value, UnknownEndpointError)
 
     def test_integrity_passes_on_a_quiet_store(self, service):
         value = service.request("integrity").value

@@ -1,10 +1,11 @@
-"""The scheduler daemon: determinism, overlap, resume, graceful drain."""
+"""The scheduler daemon: determinism, serving, overlap, resume, graceful drain."""
 
 import pytest
 
 from repro.api import Session
 from repro.clock import ManualClock, PerfCounterClock
-from repro.service.scheduler import DEFAULT_JOBS, JobSpec, ServiceScheduler
+from repro.service.query import QueryService
+from repro.service.scheduler import DEFAULT_JOBS, JobSpec
 
 #: A compressed schedule: one sweep then interleaved re-probes.
 FAST_JOBS = (
@@ -16,8 +17,8 @@ FAST_JOBS = (
 SCALE = 16_000.0
 
 
-def make_scheduler(root, *, seed=11, jobs=FAST_JOBS, clock=None):
-    session = Session(scale=SCALE, seed=seed, store=root)
+def make_scheduler(root, *, seed=11, jobs=FAST_JOBS, clock=None, scale=SCALE):
+    session = Session(scale=scale, seed=seed, store=root)
     return session.scheduler(
         jobs=jobs, clock=clock if clock is not None else ManualClock(0.0)
     )
@@ -121,6 +122,32 @@ class TestExecution:
         (run,) = scheduler.run(max_runs=1)
         assert run.rows == 0 and run.targets == 0
         assert session.store.labels(run.round_id) == ["reprobe-v4"]
+
+
+class TestServing:
+    def test_a_service_open_across_firings_answers_like_a_fresh_one(
+        self, tmp_path
+    ):
+        """A service kept open while the scheduler fires grows its store
+        index scan by scan, sweeps and re-probes alike; it must answer
+        the index endpoints like a service opened afterwards, over a
+        store that passes the integrity audit."""
+        indexed = ("device-count", "engine-ids", "vendor-census",
+                   "enterprise-census", "oui-census")
+        root = tmp_path / "obs"
+        scheduler = make_scheduler(root, scale=2000.0)
+        live = QueryService(store=root)
+        for _ in range(4):
+            scheduler.run(max_runs=1)
+            for endpoint in indexed:
+                live.request(endpoint)
+        fresh = QueryService(store=root)
+        assert fresh.request("device-count").value > 0
+        for endpoint in indexed:
+            assert (
+                live.request(endpoint).value == fresh.request(endpoint).value
+            ), endpoint
+        assert fresh.request("integrity").value["consistent"] is True
 
 
 class TestOverlapSuppression:

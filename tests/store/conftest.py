@@ -7,6 +7,7 @@ import pytest
 
 from repro.scanner.records import ScanObservation, ScanResult
 from repro.snmp.engine_id import EngineId
+from repro.store.segment import segment_fingerprint
 
 
 def make_engine(tag: int) -> EngineId:
@@ -32,6 +33,16 @@ def make_obs(
         response_count=responses,
         wire_bytes=64,
     )
+
+
+def store_fingerprint(store) -> str:
+    """One digest over the bytes of every segment part the store lists."""
+    return segment_fingerprint([
+        path
+        for round_id in store.rounds()
+        for label in store.labels(round_id)
+        for path in store.segment_paths(round_id, label)
+    ])
 
 
 def make_scan(

@@ -6,9 +6,8 @@ import pytest
 
 from repro.store import Store
 from repro.store.query import StoreQuery
-from repro.store.segment import segment_fingerprint
 
-from tests.store.conftest import random_rounds
+from tests.store.conftest import random_rounds, store_fingerprint
 
 
 def build_store(root, corpus, *, segment_rows):
@@ -56,16 +55,6 @@ def all_answers(store):
     }
 
 
-def fingerprint(store):
-    paths = [
-        p
-        for r in store.rounds()
-        for label in store.labels(r)
-        for p in store.segment_paths(r, label)
-    ]
-    return segment_fingerprint(paths)
-
-
 class TestCompactInvariance:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("segment_rows", [3, 7])
@@ -76,7 +65,7 @@ class TestCompactInvariance:
         store = build_store(tmp_path / "s", corpus, segment_rows=segment_rows)
 
         before_answers = all_answers(store)
-        before_fp = fingerprint(store)
+        before_fp = store_fingerprint(store)
         before_segments = store.stats()["segments"]
 
         stats = store.compact()
@@ -84,7 +73,7 @@ class TestCompactInvariance:
         assert stats.segments_after < stats.segments_before
         assert stats.scans_compacted > 0
 
-        assert fingerprint(store) != before_fp
+        assert store_fingerprint(store) != before_fp
         assert all_answers(store) == before_answers
 
         # A reopened store agrees too: the swap was durable.
@@ -96,10 +85,10 @@ class TestCompactInvariance:
         store = build_store(tmp_path / "s", corpus, segment_rows=4)
         store.compact()
         answers = all_answers(store)
-        fp = fingerprint(store)
+        fp = store_fingerprint(store)
         second = store.compact()
         assert second.scans_compacted == 0
-        assert fingerprint(store) == fp
+        assert store_fingerprint(store) == fp
         assert all_answers(store) == answers
 
     def test_obsolete_segments_deleted(self, tmp_path):

@@ -3,9 +3,10 @@
 from repro.scanner.campaign import ScanCampaign
 from repro.scanner.executor import ExecutionOptions
 from repro.store import Store
-from repro.store.segment import segment_fingerprint
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import build_topology
+
+from tests.store.conftest import store_fingerprint
 
 
 def ingest_campaign(root, *, seed, workers, streaming=False):
@@ -21,13 +22,7 @@ def ingest_campaign(root, *, seed, workers, streaming=False):
             store.ingest_stream(stream, round_id=1)
     else:
         store.ingest_campaign(campaign.run(), round_id=1)
-    paths = [
-        path
-        for round_id in store.rounds()
-        for label in store.labels(round_id)
-        for path in store.segment_paths(round_id, label)
-    ]
-    return store, segment_fingerprint(paths)
+    return store, store_fingerprint(store)
 
 
 class TestWorkerCountInvariance:
