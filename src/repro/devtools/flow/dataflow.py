@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.devtools.flow.graph import MODULE_BODY, FunctionInfo, ProjectGraph
+from repro.devtools.flow.graph import FunctionInfo, ProjectGraph
 
 #: Names that *carry seed provenance by convention*: ``seed``, ``seeds``,
 #: ``shuffle_seed``, ``seed_material`` — any identifier with a ``seed``

@@ -20,7 +20,10 @@ Every scan runs on the sharded streaming engine of
 worker count at a fixed seed.  :meth:`ScanCampaign.run_streaming` yields
 each scan as an incremental observation stream; :meth:`ScanCampaign.run`
 drains those same streams into a :class:`CampaignResult`, so one seed
-gives one scan whichever way it is consumed.
+gives one scan whichever way it is consumed.  The campaign owns no
+worker processes: a parallel scan forks its own when its stream starts,
+after that scan's interim events, so its workers probe the same world
+the serial path does.
 
 Probe-induced agent state is scan-scoped: the executor restores each
 shard's devices after probing them.  What other clients do to a load
@@ -44,11 +47,9 @@ suites in ``tests/topology/test_lazy_identity.py`` and
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -58,13 +59,10 @@ from repro.scanner.executor import (
     ExecutionOptions,
     ScanExecution,
     ShardedScanExecutor,
-    ShardSpec,
     StreamingScanExecution,
     _materialize,
-    _ScanParams,
 )
-from repro.scanner.metrics import ExecutorMetrics, ShardMetrics
-from repro.scanner.pool import WorkerPool
+from repro.scanner.metrics import ExecutorMetrics
 from repro.scanner.records import ScanObservation, ScanResult
 from repro.snmp.constants import SNMP_PORT
 from repro.snmp.loadbalancer import AgentPool
@@ -296,8 +294,6 @@ class ScanCampaign:
 
         Drains the same per-scan streams :meth:`run_streaming` yields;
         each scan's :class:`ExecutorMetrics` lands in ``result.metrics``.
-        A parallel run forks its worker pool once, right after campaign
-        setup, and reuses it for all four scans.
         """
         result = CampaignResult()
         for stream in self._streams(result):
@@ -310,8 +306,10 @@ class ScanCampaign:
 
         Each stream's batches must be consumed before requesting the next
         stream: the inter-scan events (reboots, churn) rebind fabric
-        endpoints in place.  The worker pool (if any) stays alive across
-        all four streams and shuts down when the generator finishes.
+        endpoints in place.  A parallel stream forks its workers when its
+        batches start and reaps them when they end or are closed, so a
+        change the caller makes to the world between streams reaches the
+        workers exactly as it reaches the serial path.
         """
         return self._streams(CampaignResult())
 
@@ -338,52 +336,47 @@ class ScanCampaign:
             self._setup(CampaignResult())
         self._apply_due_reboots(start_time)
         return self._execute_scan(
-            None, label, ip_version, start_time, rate_pps, targets
+            label, ip_version, start_time, rate_pps, targets
         ).result()
 
     def _streams(self, result: CampaignResult) -> Iterator[ScanStream]:
         """The four-scan loop: set up, then one stream per scheduled scan."""
         self._setup(result)
-        with self._pool_scope() as pool:
-            for label in SCAN_LABELS:
-                derive_base = (
-                    self.topology.derive_seconds if self._lazy else 0.0  # type: ignore[union-attr]
-                )
-                version, start, rate, targets = self._advance_to(label, result)
-                execution = self._execute_scan(
-                    pool, label, version, start, rate, targets
-                )
-                finalize: "Callable[[], None] | None" = None
-                if self._lazy:
-                    topology = self.topology
+        for label in SCAN_LABELS:
+            derive_base = (
+                self.topology.derive_seconds if self._lazy else 0.0  # type: ignore[union-attr]
+            )
+            version, start, rate, targets = self._advance_to(label, result)
+            execution = self._execute_scan(label, version, start, rate, targets)
+            finalize: "Callable[[], None] | None" = None
+            if self._lazy:
+                topology = self.topology
 
-                    def finalize(
-                        metrics: ExecutorMetrics = execution.metrics,
-                        base: float = derive_base,
-                        topology: LazyTopology = topology,  # type: ignore[assignment]
-                    ) -> None:
-                        # Derivation happens while batches stream, so the
-                        # edge is only known once this scan is drained.
-                        metrics.derive_time = topology.derive_seconds - base
+                def finalize(
+                    metrics: ExecutorMetrics = execution.metrics,
+                    base: float = derive_base,
+                    topology: LazyTopology = topology,  # type: ignore[assignment]
+                ) -> None:
+                    # Derivation happens while batches stream, so the
+                    # edge is only known once this scan is drained.
+                    metrics.derive_time = topology.derive_seconds - base
 
-                yield ScanStream(
-                    label=label,
-                    ip_version=version,
-                    started_at=start,
-                    bindings=result.bindings[label],
-                    execution=execution,
-                    finalize=finalize,
-                )
+            yield ScanStream(
+                label=label,
+                ip_version=version,
+                started_at=start,
+                bindings=result.bindings[label],
+                execution=execution,
+                finalize=finalize,
+            )
 
     # -- schedule ---------------------------------------------------------------
 
     def _setup(self, result: CampaignResult) -> None:
         """One-time campaign setup: datasets, initial bindings, reboots.
 
-        This is the expensive half of the schedule.  A parallel run forks
-        its worker pool immediately *after* this point, so the children
-        inherit the built topology state copy-on-write and only ever
-        replay the cheap per-scan events themselves.
+        This is the expensive half of the schedule; the workers of each
+        parallel scan inherit what it builds copy-on-write.
 
         Streamed layouts have almost nothing to set up: dataset
         membership, reboot times and churn are pure functions, and a lazy
@@ -423,9 +416,7 @@ class ScanCampaign:
         """Apply one scan's interim events; return its schedule and targets.
 
         Must be called once per label, in ``SCAN_LABELS`` order, after
-        :meth:`_setup`.  Deterministic given the post-setup state: worker
-        replicas forked at pool creation replay these exact events (same
-        RNG stream, same order) to reconstruct per-scan state locally.
+        :meth:`_setup`.
         """
         version, start, rate = _SCHEDULE[label]
         if label.endswith("-2"):
@@ -436,34 +427,7 @@ class ScanCampaign:
         result.bindings[label] = dict(self._binding)
         return version, start, rate, targets
 
-    @contextmanager
-    def _pool_scope(self) -> "Iterator[WorkerPool | None]":
-        """A campaign-lifetime worker pool, or ``None`` on the serial path.
-
-        Forks exactly here — after :meth:`_setup`, before the first
-        scan's events — so every child holds a replica of the campaign in
-        its pristine post-setup state (see :class:`_CampaignShardRunner`).
-        """
-        workers = self._executor_config.workers
-        if (
-            self._streamed
-            # Streamed campaigns parallelize per planning window with
-            # ephemeral pools: a fork-time replica of a lazy world would
-            # freeze one window's resident devices for the whole run.
-            or workers <= 1
-            or "fork" not in multiprocessing.get_all_start_methods()
-        ):
-            yield None
-            return
-        pool = WorkerPool(workers=workers, runner=_CampaignShardRunner(self))
-        try:
-            yield pool
-        finally:
-            pool.close()
-
-    def _make_executor(
-        self, pool: "WorkerPool | None" = None
-    ) -> ShardedScanExecutor:
+    def _make_executor(self) -> ShardedScanExecutor:
         owner_of: "Callable[[IPAddress], int | None]"
         owner_of_batch: "Callable[[list[IPAddress]], list[int | None]]"
         if self._lazy:
@@ -484,7 +448,6 @@ class ScanCampaign:
             devices=self.topology.devices,
             owner_of=owner_of,
             config=self._executor_config,
-            pool=pool,
             owner_of_batch=owner_of_batch,
             # Lazy worlds fast-reject closed devices at the fabric, so
             # their agents keep virgin state through every shard —
@@ -497,7 +460,6 @@ class ScanCampaign:
 
     def _execute_scan(
         self,
-        pool: "WorkerPool | None",
         label: str,
         version: int,
         start: float,
@@ -510,7 +472,7 @@ class ScanCampaign:
                 targets, label=label, ip_version=version,
                 start_time=start, rate_pps=rate,
             )
-        return self._make_executor(pool).execute(
+        return self._make_executor().execute(
             list(targets), label=label, ip_version=version,
             start_time=start, rate_pps=rate,
         )
@@ -738,50 +700,3 @@ class ScanCampaign:
             cache.popitem(last=False)
         return entry[1]
 
-
-class _CampaignShardRunner:
-    """Worker-side campaign replayer for the persistent pool.
-
-    Captured by the pool's children at fork time — immediately after
-    :meth:`ScanCampaign._setup`, before any scan's interim events.  Each
-    worker therefore owns a copy-on-write replica of the fully built
-    campaign and replays the cheap per-label events (churn, reboot
-    application) itself, in ``SCAN_LABELS`` order.  The replica's RNG
-    state matches the parent's at fork, so the replay — bindings, fabric
-    handlers, targets, shard plan — is byte-identical to the parent's own
-    advance, without re-pushing any state through the task pipe.
-    """
-
-    def __init__(self, campaign: ScanCampaign) -> None:
-        self._campaign = campaign
-        #: Throwaway bindings sink for the replica's `_advance_to` calls.
-        self._result = CampaignResult()
-        self._cursor = 0
-        self._scans: "dict[str, tuple[ShardedScanExecutor, list[ShardSpec], _ScanParams]]" = {}
-
-    def _advance(self, label: str) -> None:
-        campaign = self._campaign
-        while True:
-            if self._cursor >= len(SCAN_LABELS):
-                raise KeyError(f"unknown scan label {label!r}")
-            current = SCAN_LABELS[self._cursor]
-            self._cursor += 1
-            version, start, rate, targets = campaign._advance_to(
-                current, self._result
-            )
-            executor = campaign._make_executor()
-            execution = executor.execute(
-                targets, label=current, ip_version=version,
-                start_time=start, rate_pps=rate,
-            )
-            self._scans[current] = (executor, execution._plan, execution._params)
-            if current == label:
-                return
-
-    def run_shard(
-        self, scan_key: str, shard_index: int, batch_size: int
-    ) -> "tuple[Iterator[list[ScanObservation]], ShardMetrics]":
-        if scan_key not in self._scans:
-            self._advance(scan_key)
-        executor, plan, params = self._scans[scan_key]
-        return executor.stream_shard(plan[shard_index], params, batch_size)

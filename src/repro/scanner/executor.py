@@ -512,8 +512,8 @@ class StreamingScanExecution:
 
     The target stream is consumed one planning window at a time: each
     window is shard-planned with its global probe indices preserved
-    (``plan_shards(..., base_index=...)``), executed serially or on an
-    ephemeral per-window worker pool, and its observations yielded
+    (``plan_shards(..., base_index=...)``), executed serially or on
+    workers forked for that window alone, and its observations yielded
     before the next window's targets are even pulled.  Nothing —
     not the executor, not a lazy topology's device cache — ever holds
     more than one window of state, which is what makes a 10M-address
@@ -595,9 +595,7 @@ class StreamingScanExecution:
                     ),
                 )
                 metrics.plan_time += time.perf_counter() - plan_started
-                yield from executor._stream_window_batches(
-                    plan, params, metrics, f"{params.label}@{window_index}"
-                )
+                yield from executor._stream_plan(plan, params, metrics)
                 base_index += len(chunk)
                 window_index += 1
             self.total_targets = base_index
@@ -642,11 +640,10 @@ def _materialize(
 
 
 class _ExecutorShardRunner:
-    """Worker-side runner for a standalone (campaign-less) executor.
+    """Worker-side runner: one executor's plan, captured at fork time.
 
     Published via :class:`~repro.scanner.pool.WorkerPool` fork
-    inheritance; children capture the executor, plan and params at fork
-    time, so tasks stay tiny ``(scan key, shard index)`` tuples.
+    inheritance, so a worker needs nothing but shard indices.
     """
 
     def __init__(
@@ -660,7 +657,7 @@ class _ExecutorShardRunner:
         self._params = params
 
     def run_shard(
-        self, scan_key: str, shard_index: int, batch_size: int
+        self, shard_index: int, batch_size: int
     ) -> "tuple[Iterator[list[ScanObservation]], ShardMetrics]":
         return self._executor.stream_shard(
             self._plan[shard_index], self._params, batch_size
@@ -684,7 +681,6 @@ class ShardedScanExecutor:
         devices: "Mapping[int, Device]",
         owner_of: "Callable[[IPAddress], int | None] | None" = None,
         config: "ExecutorConfig | None" = None,
-        pool: "WorkerPool | None" = None,
         owner_of_batch: "Callable[[list[IPAddress]], list[int | None]] | None" = None,
         snapshot_filter: "Callable[[tuple[int, ...]], list[int]] | None" = None,
     ) -> None:
@@ -706,9 +702,6 @@ class ShardedScanExecutor:
         # devices that cannot answer.
         self._snapshot_filter = snapshot_filter
         self.config = config or ExecutorConfig()
-        # Campaign-owned persistent pool; when absent, a parallel scan
-        # forks an ephemeral pool of its own for the scan's duration.
-        self._pool = pool
 
     @property
     def effective_workers(self) -> int:
@@ -805,102 +798,50 @@ class ShardedScanExecutor:
     ) -> Iterator[list[ScanObservation]]:
         started = time.perf_counter()
         try:
-            if self.effective_workers > 1:
-                yield from self._stream_pooled(plan, params, metrics)
-            else:
-                yield from self._stream_serial(plan, params, metrics)
+            yield from self._stream_plan(plan, params, metrics)
         finally:
             # Finalized even when the consumer abandons the stream early
             # (pipeline short-circuit, partial export): wall_time must
             # reflect the time actually spent, never stay zero.
             metrics.wall_time = time.perf_counter() - started
 
-    def _stream_serial(
+    def _stream_plan(
         self,
         plan: list[ShardSpec],
         params: _ScanParams,
         metrics: ExecutorMetrics,
     ) -> Iterator[list[ScanObservation]]:
-        batch_size = self.config.batch_size
-        for spec in plan:
-            batches, shard = self.stream_shard(spec, params, batch_size)
-            for batch in batches:
-                metrics.peak_batch = max(metrics.peak_batch, len(batch))
-                yield batch
-            metrics.add_shard(shard)
+        """One plan's shards in shard order, inline or on its own workers.
 
-    def _stream_pooled(
-        self,
-        plan: list[ShardSpec],
-        params: _ScanParams,
-        metrics: ExecutorMetrics,
-    ) -> Iterator[list[ScanObservation]]:
-        pool = self._pool
-        # No campaign-owned pool (or it already shut down, e.g. the
-        # owning generator was dropped): fork one for this scan.  The
-        # runner is captured by the children at fork time, so the workers
-        # see exactly this plan and params.
-        owned = pool is None or pool.closed
-        if owned:
-            pool = WorkerPool(
-                workers=self.effective_workers,
-                runner=_ExecutorShardRunner(self, plan, params),
-            )
-        try:
-            yield from self._merge_pool_messages(
-                pool, plan, params.label, metrics
-            )
-        finally:
-            if owned:
-                pool.close()
-
-    def _merge_pool_messages(
-        self,
-        pool: WorkerPool,
-        plan: list[ShardSpec],
-        scan_key: str,
-        metrics: ExecutorMetrics,
-    ) -> Iterator[list[ScanObservation]]:
-        """Merge one pool run's shard messages in deterministic order."""
-        messages = pool.run_scan(
-            scan_key,
-            num_shards=len(plan),
-            batch_size=self.config.batch_size,
-        )
-        for __, kind, payload in messages:
-            if kind == MSG_METRICS:
-                assert isinstance(payload, ShardMetrics)
-                metrics.add_shard(payload)
-            else:
-                assert isinstance(payload, bytes)
-                batch = decode_observations(payload)
-                metrics.peak_batch = max(metrics.peak_batch, len(batch))
-                yield batch
-
-    def _stream_window_batches(
-        self,
-        plan: list[ShardSpec],
-        params: _ScanParams,
-        metrics: ExecutorMetrics,
-        window_key: str,
-    ) -> Iterator[list[ScanObservation]]:
-        """One streaming window's shards, serial or on an ephemeral pool.
-
-        The streaming path never reuses a campaign-owned persistent pool:
-        its fork-time replicas captured eagerly-built state, while each
-        window's plan only exists for the window's lifetime.
+        A parallel plan forks its workers here, when its first batch is
+        requested, so they probe the world as it stands after every
+        event that precedes the plan — exactly what the inline path
+        probes.  The workers are reaped when the plan ends or its
+        stream is closed.
         """
+        batch_size = self.config.batch_size
         if self.effective_workers <= 1:
-            yield from self._stream_serial(plan, params, metrics)
+            for spec in plan:
+                batches, shard = self.stream_shard(spec, params, batch_size)
+                for batch in batches:
+                    metrics.peak_batch = max(metrics.peak_batch, len(batch))
+                    yield batch
+                metrics.add_shard(shard)
             return
-        pool = WorkerPool(
+        with WorkerPool(
             workers=self.effective_workers,
             runner=_ExecutorShardRunner(self, plan, params),
-        )
-        try:
-            yield from self._merge_pool_messages(pool, plan, window_key, metrics)
-        finally:
-            pool.close()
+        ) as pool:
+            messages = pool.run_scan(num_shards=len(plan), batch_size=batch_size)
+            for __, kind, payload in messages:
+                if kind == MSG_METRICS:
+                    assert isinstance(payload, ShardMetrics)
+                    metrics.add_shard(payload)
+                else:
+                    assert isinstance(payload, bytes)
+                    batch = decode_observations(payload)
+                    metrics.peak_batch = max(metrics.peak_batch, len(batch))
+                    yield batch
 
     def stream_shard(
         self, spec: ShardSpec, params: _ScanParams, batch_size: int

@@ -1,31 +1,34 @@
-"""Persistent fork-based worker pool for the sharded scan executor.
+"""Fork-based worker processes for one parallel scan plan.
 
-The old parallel path forked a fresh ``multiprocessing.Pool`` for every
-scan and shipped each shard's result back as one giant pickled list —
-all observations materialized worker-side before the first byte crossed
-the pipe.  This module replaces both halves:
+A parallel scan plan — one :meth:`~repro.scanner.executor.
+ShardedScanExecutor.execute` scan, or one streaming window — forks its
+own workers when its messages are first requested and reaps them when
+it ends or is abandoned.  The fork therefore happens after every world
+event that precedes the plan, so the children probe exactly the world
+the serial path would.
 
-* **One fork per campaign.**  A :class:`WorkerPool` is created once (by
-  the campaign, or per scan for standalone executors) and runs shard
-  tasks for any number of scans.  Workers inherit the runner object at
-  fork time via module globals — the ``fork`` start method makes the
-  parent's address space visible copy-on-write, so nothing large is ever
-  pickled through the task pipe; a task is a ``(scan key, shard index,
-  batch size)`` triple.
+* **Fork inheritance.**  Workers inherit the runner object at fork time
+  — the ``fork`` start method makes the parent's address space visible
+  copy-on-write, so nothing is ever pickled to a worker.  Worker ``w``
+  of ``W`` runs shards ``w, w + W, ...`` in order, which is all it needs
+  to know.
 * **Streaming compact batches.**  Workers chunk each shard's
   observations into bounded batches, pack every batch with
-  :mod:`repro.scanner.wire`, and push the blobs onto a shared queue
-  while the shard is still running downstream shards.  The parent yields
-  messages strictly in shard-index order (buffering out-of-order
-  shards), which keeps the merge — and therefore the observation stream
-  — byte-identical to the serial path.
+  :mod:`repro.scanner.wire`, and send the blobs down their own pipe
+  while the shard is still running.  The parent reads every pipe as
+  data arrives and yields messages strictly in shard-index order
+  (buffering out-of-order shards), which keeps the merge — and
+  therefore the observation stream — byte-identical to the serial path.
 
 Per-shard message sequence: zero or more :data:`MSG_BATCH` blobs
 followed by exactly one :data:`MSG_METRICS` carrying the shard's
 :class:`~repro.scanner.metrics.ShardMetrics` (its ``ipc_bytes`` field
 counts the encoded batch bytes that crossed the pipe).  Worker
 exceptions travel as :data:`MSG_ERROR` messages and re-raise in the
-parent as :class:`WorkerPoolError`.
+parent as :class:`WorkerPoolError`.  A worker that dies before it has
+finished its shards (SIGKILL, ``os._exit``) closes its pipe; the parent
+reads end-of-file and raises :class:`WorkerPoolError` naming the
+unfinished shard and the worker's exit code instead of waiting forever.
 
 The pool is agnostic to *how* a shard probes: the runner executes the
 staged batch pipeline and cuts its observations into the same batch
@@ -36,30 +39,33 @@ boundaries as the serial path, so the message stream — and the
 from __future__ import annotations
 
 import multiprocessing
-from typing import TYPE_CHECKING, Iterator, Protocol
+from multiprocessing.connection import Connection, wait
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Protocol
 
 from repro.scanner.metrics import ShardMetrics
 from repro.scanner.wire import encode_observations
 
 if TYPE_CHECKING:
+    from multiprocessing.process import BaseProcess
+
     from repro.scanner.records import ScanObservation
 
-#: Message kinds on the worker→parent queue.
+#: Message kinds on a worker→parent pipe.
 MSG_BATCH = 0
 MSG_METRICS = 1
 MSG_ERROR = 2
 
-#: One queue message: (scan sequence, shard index, kind, payload).
-PoolMessage = tuple[int, int, int, object]
+#: Seconds to wait for a worker whose pipe closed to report its exit code.
+_EXIT_WAIT = 5.0
 
 
 class ShardRunner(Protocol):
-    """Worker-side strategy: maps a task to one executed shard."""
+    """Worker-side strategy: runs one shard of the plan it was built for."""
 
     def run_shard(
-        self, scan_key: str, shard_index: int, batch_size: int
+        self, shard_index: int, batch_size: int
     ) -> "tuple[Iterator[list[ScanObservation]], ShardMetrics]":
-        """Execute one shard of the named scan as a lazy batch stream.
+        """Execute one shard as a lazy batch stream.
 
         The metrics object is filled in while the iterator is consumed
         and must be complete once it is exhausted.
@@ -68,72 +74,57 @@ class ShardRunner(Protocol):
 
 
 class WorkerPoolError(RuntimeError):
-    """A shard task failed inside a worker process."""
+    """A shard failed inside a worker process, or its worker died."""
 
 
-# Fork-inheritance plumbing: published immediately before the pool forks,
-# cleared immediately after.  Children capture the values at fork time;
-# later parent-side reassignment is invisible to them, which is exactly
-# the point — the runner must replay per-scan state itself.
-_WORKER_RUNNER: "ShardRunner | None" = None
-_WORKER_QUEUE: "multiprocessing.queues.SimpleQueue[PoolMessage] | None" = None
-
-
-def _worker_run_shard(task: "tuple[int, str, int, int]") -> None:
-    """Pool task body: run one shard, stream its batches, then metrics."""
-    scan_seq, scan_key, shard_index, batch_size = task
-    runner, queue = _WORKER_RUNNER, _WORKER_QUEUE
-    assert runner is not None and queue is not None
+def _worker_main(
+    runner: ShardRunner, conn: Connection, shards: range, batch_size: int
+) -> None:
+    """Worker body: run ``shards`` in order, streaming each to ``conn``."""
     try:
-        batches, metrics = runner.run_shard(scan_key, shard_index, batch_size)
-        for batch in batches:
-            blob = encode_observations(batch)
-            metrics.ipc_bytes += len(blob)
-            queue.put((scan_seq, shard_index, MSG_BATCH, blob))
-        queue.put((scan_seq, shard_index, MSG_METRICS, metrics))
-    except BaseException as exc:  # surfaced parent-side as WorkerPoolError
-        queue.put(
-            (scan_seq, shard_index, MSG_ERROR, f"{type(exc).__name__}: {exc}")
-        )
+        for shard_index in shards:
+            batches, metrics = runner.run_shard(shard_index, batch_size)
+            for batch in batches:
+                blob = encode_observations(batch)
+                metrics.ipc_bytes += len(blob)
+                conn.send((shard_index, MSG_BATCH, blob))
+            conn.send((shard_index, MSG_METRICS, metrics))
+    except Exception as exc:  # surfaced parent-side as WorkerPoolError
+        conn.send((shard_index, MSG_ERROR, f"{type(exc).__name__}: {exc}"))
+    finally:
+        conn.close()
+
+
+class _Worker(NamedTuple):
+    process: "BaseProcess"
+    #: Parent's read end of the worker's pipe.
+    reader: Connection
+    shards: range
 
 
 class WorkerPool:
-    """A pool of forked workers that outlives individual scans.
+    """Forked workers that run every shard of one plan.
 
-    Construction forks the workers immediately — callers must publish a
-    *pristine* runner: per-scan state is reconstructed worker-side by the
-    runner (deterministic schedule replay), never re-pushed from the
-    parent, because post-fork parent mutations are invisible to children.
+    Construction only records the runner.  :meth:`run_scan` forks the
+    workers, and they capture the runner — with the rest of the parent's
+    address space — as it stands at that moment; parent-side mutations
+    after the fork are invisible to them.  The pool serves one run:
+    when it ends, fails or is abandoned, the workers are reaped and the
+    pool is closed.
     """
 
     def __init__(self, *, workers: int, runner: ShardRunner) -> None:
-        global _WORKER_RUNNER, _WORKER_QUEUE
         if workers < 2:
             raise ValueError(f"WorkerPool needs >= 2 workers, got {workers}")
-        context = multiprocessing.get_context("fork")
         self.workers = workers
-        self._queue: "multiprocessing.queues.SimpleQueue[PoolMessage]" = (
-            context.SimpleQueue()
-        )
-        self._scan_seq = 0
+        self._runner = runner
+        self._workers: "list[_Worker]" = []
         self._closed = False
-        _WORKER_RUNNER = runner
-        _WORKER_QUEUE = self._queue
-        try:
-            self._pool = context.Pool(processes=workers)
-        except BaseException:
-            # Forking can fail (resource limits); without an object to
-            # close, the queue's pipe descriptors would leak.
-            self._queue.close()
-            raise
-        finally:
-            _WORKER_RUNNER = None
-            _WORKER_QUEUE = None
 
     def run_scan(
-        self, scan_key: str, *, num_shards: int, batch_size: int
+        self, *, num_shards: int, batch_size: int
     ) -> "Iterator[tuple[int, int, object]]":
-        """Run every shard of one scan; yield messages in shard order.
+        """Fork the workers, run every shard; yield messages in shard order.
 
         Yields ``(shard_index, kind, payload)`` with each shard's batches
         (wire blobs) immediately followed by its metrics, shard 0 first —
@@ -143,58 +134,85 @@ class WorkerPool:
         """
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
-        self._scan_seq += 1
-        seq = self._scan_seq
-        tasks = [(seq, scan_key, index, batch_size) for index in range(num_shards)]
-        result = self._pool.map_async(_worker_run_shard, tasks, chunksize=1)
-        # Out-of-order shards park their (kind, payload) messages here
-        # until every lower-indexed shard has drained.
-        buffered: "dict[int, list[tuple[int, object]]]" = {}
+        try:
+            self._fork(num_shards, batch_size)
+            yield from self._merge(num_shards)
+        finally:
+            self.close()
+
+    def _fork(self, num_shards: int, batch_size: int) -> None:
+        context = multiprocessing.get_context("fork")
+        workers = min(self.workers, num_shards)
+        for worker_index in range(workers):
+            shards = range(worker_index, num_shards, workers)
+            reader, writer = context.Pipe(duplex=False)
+            try:
+                # Forked, so the child inherits these arguments as they
+                # are; nothing is pickled.
+                process = context.Process(
+                    target=_worker_main,
+                    args=(self._runner, writer, shards, batch_size),
+                    daemon=True,
+                )
+                process.start()
+            except BaseException:
+                reader.close()
+                raise
+            finally:
+                # The child holds its own copy of the write end; the
+                # parent's must go, or a dead child never reads as
+                # end-of-file (and later children would inherit it).
+                writer.close()
+            self._workers.append(_Worker(process, reader, shards))
+
+    def _merge(self, num_shards: int) -> "Iterator[tuple[int, int, object]]":
+        readers = {worker.reader: worker for worker in self._workers}
+        # Messages not yet yielded, per shard, and the shards whose
+        # metrics (their last message) have arrived.
+        pending: "dict[int, list[tuple[int, object]]]" = {}
         finished: "set[int]" = set()
         head = 0
         while head < num_shards:
-            msg_seq, shard_index, kind, payload = self._queue.get()
-            if msg_seq != seq:
-                continue  # abandoned predecessor scan draining out
-            if kind == MSG_ERROR:
-                self.close()
-                raise WorkerPoolError(
-                    f"shard {shard_index} of scan {scan_key!r} failed: {payload}"
-                )
-            if shard_index != head:
-                buffered.setdefault(shard_index, []).append((kind, payload))
+            for reader in wait(list(readers)):
+                assert isinstance(reader, Connection)
+                try:
+                    shard_index, kind, payload = reader.recv()
+                except EOFError:
+                    self._check_exit(readers.pop(reader), finished)
+                    continue
+                if kind == MSG_ERROR:
+                    raise WorkerPoolError(f"shard {shard_index} failed: {payload}")
+                pending.setdefault(shard_index, []).append((kind, payload))
                 if kind == MSG_METRICS:
                     finished.add(shard_index)
-                continue
-            yield shard_index, kind, payload
-            if kind != MSG_METRICS:
-                continue
-            head += 1
             while head < num_shards:
-                for pending_kind, pending in buffered.pop(head, []):
-                    yield head, pending_kind, pending
+                for kind, payload in pending.pop(head, ()):
+                    yield head, kind, payload
                 if head not in finished:
                     break
                 head += 1
-        result.get()
 
-    @property
-    def closed(self) -> bool:
-        """Whether the pool has shut down (explicitly or after an error)."""
-        return self._closed
+    @staticmethod
+    def _check_exit(worker: _Worker, finished: "set[int]") -> None:
+        """Raise if a worker whose pipe closed left a shard unfinished."""
+        for shard_index in worker.shards:
+            if shard_index not in finished:
+                worker.process.join(_EXIT_WAIT)
+                raise WorkerPoolError(
+                    f"worker for shard {shard_index} exited with code "
+                    f"{worker.process.exitcode} before finishing it"
+                )
 
     def close(self) -> None:
-        """Shut the workers down; the pool cannot be reused afterwards."""
-        if not self._closed:
-            self._closed = True
-            try:
-                self._pool.terminate()
-                self._pool.join()
-            finally:
-                # The IPC queue holds two pipe descriptors of its own;
-                # terminating the workers does not release the parent
-                # ends.
-                self._queue.close()
+        """Stop and reap the workers; the pool cannot be reused afterwards."""
+        self._closed = True
+        workers, self._workers = self._workers, []
+        for worker in workers:
+            worker.process.terminate()
+        for worker in workers:
+            worker.process.join()
+            worker.process.close()
+            worker.reader.close()
 
     def __enter__(self) -> "WorkerPool":
         return self

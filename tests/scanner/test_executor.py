@@ -1,6 +1,7 @@
 """Tests for the sharded, streaming scan executor."""
 
 import ipaddress
+import multiprocessing
 import pickle
 
 import pytest
@@ -142,6 +143,42 @@ class TestWallTimeFinalization:
         next(batches)
         batches.close()
         assert stream.execution.metrics.wall_time > 0.0
+
+
+class TestOnePoolLifetime:
+    """Each parallel scan forks its own workers after the scan's events."""
+
+    @staticmethod
+    def _scans_with_world_changed_after_v6_1(workers):
+        """A caller poisons 25 open agents between streams v6-1 and v6-2."""
+        topo, campaign = _run_campaign(workers=workers)
+        scans, unparsed = {}, {}
+        for stream in campaign.run_streaming():
+            scans[stream.label] = stream.result()
+            unparsed[stream.label] = stream.execution.metrics.unparsed
+            if stream.label == "v6-1":
+                open_devices = [d for d in topo.devices.values() if d.snmp_open]
+                for device in open_devices[:25]:
+                    device.agent.behavior = AgentBehavior(garbage_reports=True)
+        return scans, unparsed
+
+    def test_workers_see_the_world_as_changed_between_streams(self):
+        serial, unparsed = self._scans_with_world_changed_after_v6_1(1)
+        pooled, __ = self._scans_with_world_changed_after_v6_1(2)
+        assert unparsed["v6-1"] == 0 and unparsed["v4-1"] > 0
+        for label in SCAN_LABELS:
+            assert _scan_fingerprint(pooled[label]) == \
+                _scan_fingerprint(serial[label]), label
+
+    def test_abandoned_parallel_stream_leaves_no_worker(self):
+        before = set(multiprocessing.active_children())
+        __, campaign = _run_campaign(workers=2, batch_size=10)
+        streams = campaign.run_streaming()
+        batches = next(streams).batches()
+        next(batches)
+        batches.close()
+        assert set(multiprocessing.active_children()) <= before
+        streams.close()
 
 
 class TestBatchBoundaries:

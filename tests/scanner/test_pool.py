@@ -1,9 +1,17 @@
-"""Tests for the persistent fork-based worker pool."""
+"""Tests for the fork-based worker pool of one scan plan."""
 
 import ipaddress
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.scanner.metrics import ShardMetrics
 from repro.scanner.pool import (
     MSG_BATCH,
@@ -16,7 +24,7 @@ from repro.scanner.wire import decode_observations
 from repro.snmp.engine_id import EngineId
 
 pytestmark = pytest.mark.skipif(
-    "fork" not in __import__("multiprocessing").get_all_start_methods(),
+    "fork" not in multiprocessing.get_all_start_methods(),
     reason="fork start method unavailable",
 )
 
@@ -38,11 +46,12 @@ def _obs(scan_key, shard_index, row):
 class _SyntheticRunner:
     """Deterministic fake shard runner (captured by workers at fork)."""
 
-    def __init__(self, shard_sizes, fail_shard=None):
+    def __init__(self, shard_sizes, fail_shard=None, scan_key="s"):
         self.shard_sizes = shard_sizes
         self.fail_shard = fail_shard
+        self.scan_key = scan_key
 
-    def run_shard(self, scan_key, shard_index, batch_size):
+    def run_shard(self, shard_index, batch_size):
         if shard_index == self.fail_shard:
             raise RuntimeError(f"shard {shard_index} exploded")
         size = self.shard_sizes[shard_index]
@@ -51,7 +60,7 @@ class _SyntheticRunner:
         def batches():
             batch = []
             for row in range(size):
-                batch.append(_obs(scan_key, shard_index, row))
+                batch.append(_obs(self.scan_key, shard_index, row))
                 if len(batch) >= batch_size:
                     yield batch
                     batch = []
@@ -62,10 +71,10 @@ class _SyntheticRunner:
         return batches(), metrics
 
 
-def _drain(pool, scan_key, num_shards, batch_size):
+def _drain(pool, num_shards, batch_size):
     observations, metrics = [], []
     for shard_index, kind, payload in pool.run_scan(
-        scan_key, num_shards=num_shards, batch_size=batch_size
+        num_shards=num_shards, batch_size=batch_size
     ):
         if kind == MSG_METRICS:
             metrics.append(payload)
@@ -86,27 +95,18 @@ def _expected(scan_key, shard_sizes):
 class TestWorkerPool:
     def test_messages_arrive_in_shard_order(self):
         sizes = [5, 0, 13, 1, 7, 3]
-        with WorkerPool(workers=3, runner=_SyntheticRunner(sizes)) as pool:
-            observations, metrics = _drain(pool, "s1", len(sizes), 4)
+        runner = _SyntheticRunner(sizes, scan_key="s1")
+        with WorkerPool(workers=3, runner=runner) as pool:
+            observations, metrics = _drain(pool, len(sizes), 4)
         assert observations == _expected("s1", sizes)
         assert [m.shard_index for m in metrics] == list(range(len(sizes)))
         assert [m.observations for m in metrics] == sizes
-
-    def test_pool_survives_multiple_scans(self):
-        """The tentpole: one fork, many scans."""
-        sizes = [4, 6, 2]
-        with WorkerPool(workers=2, runner=_SyntheticRunner(sizes)) as pool:
-            for scan_key in ("a", "b", "c"):
-                observations, __ = _drain(pool, scan_key, len(sizes), 3)
-                assert observations == _expected(scan_key, sizes)
 
     def test_ipc_bytes_counted(self):
         sizes = [8]
         blobs = []
         with WorkerPool(workers=2, runner=_SyntheticRunner(sizes)) as pool:
-            for __, kind, payload in pool.run_scan(
-                "s", num_shards=1, batch_size=3
-            ):
+            for __, kind, payload in pool.run_scan(num_shards=1, batch_size=3):
                 if kind == MSG_BATCH:
                     blobs.append(payload)
                 else:
@@ -118,20 +118,33 @@ class TestWorkerPool:
         runner = _SyntheticRunner([3, 3, 3], fail_shard=1)
         with WorkerPool(workers=2, runner=runner) as pool:
             with pytest.raises(WorkerPoolError, match="shard 1.*exploded"):
-                _drain(pool, "s", 3, 2)
+                _drain(pool, 3, 2)
         with pytest.raises(RuntimeError, match="closed"):
-            next(pool.run_scan("s", num_shards=1, batch_size=1))
+            next(pool.run_scan(num_shards=1, batch_size=1))
 
-    def test_abandoned_scan_does_not_poison_the_next(self):
-        """Stale messages from a half-consumed scan are discarded."""
-        sizes = [9, 9, 9, 9]
+    def test_one_pool_serves_one_run(self):
+        sizes = [2, 2]
         with WorkerPool(workers=2, runner=_SyntheticRunner(sizes)) as pool:
-            stream = pool.run_scan("first", num_shards=len(sizes), batch_size=2)
-            next(stream)  # take one message, then walk away
-            stream.close()
-            observations, metrics = _drain(pool, "second", len(sizes), 2)
-        assert observations == _expected("second", sizes)
-        assert len(metrics) == len(sizes)
+            observations, __ = _drain(pool, len(sizes), 2)
+            with pytest.raises(RuntimeError, match="closed"):
+                _drain(pool, len(sizes), 2)
+        assert observations == _expected("s", sizes)
+
+    def test_more_workers_than_shards(self):
+        sizes = [3, 1]
+        with WorkerPool(workers=4, runner=_SyntheticRunner(sizes)) as pool:
+            observations, metrics = _drain(pool, len(sizes), 2)
+        assert observations == _expected("s", sizes)
+        assert [m.shard_index for m in metrics] == [0, 1]
+
+    def test_abandoned_run_leaves_no_worker(self):
+        before = set(multiprocessing.active_children())
+        sizes = [50, 50, 50, 50]
+        pool = WorkerPool(workers=2, runner=_SyntheticRunner(sizes))
+        stream = pool.run_scan(num_shards=len(sizes), batch_size=2)
+        next(stream)  # take one message, then walk away
+        stream.close()
+        assert set(multiprocessing.active_children()) <= before
 
     def test_batch_boundaries_match_runner(self):
         sizes = [10]
@@ -139,7 +152,7 @@ class TestWorkerPool:
             lengths = [
                 len(decode_observations(payload))
                 for __, kind, payload in pool.run_scan(
-                    "s", num_shards=1, batch_size=4
+                    num_shards=1, batch_size=4
                 )
                 if kind == MSG_BATCH
             ]
@@ -155,43 +168,116 @@ class TestWorkerPool:
         pool.close()
 
 
+class _RecordingContext:
+    """The fork context, recording every pipe end the pool opens."""
+
+    def __init__(self, fail_process=None):
+        self._real = multiprocessing.get_context("fork")
+        self._fail_process = fail_process
+        self._processes = 0
+        self.connections = []
+
+    def Pipe(self, duplex):
+        ends = self._real.Pipe(duplex)
+        self.connections.extend(ends)
+        return ends
+
+    def Process(self, **kwargs):
+        if self._processes == self._fail_process:
+            raise OSError("fork failed")
+        self._processes += 1
+        return self._real.Process(**kwargs)
+
+
 class TestResourceLifecycle:
-    """The leaks RES001 caught: every exit path releases the IPC queue."""
+    """The leaks RES001 caught: every exit path releases the IPC pipes."""
 
-    def test_close_also_closes_the_ipc_queue(self):
-        pool = WorkerPool(workers=2, runner=_SyntheticRunner([1]))
-        queue = pool._queue
+    @staticmethod
+    def _record(monkeypatch, **kwargs):
+        context = _RecordingContext(**kwargs)
+        monkeypatch.setattr(
+            "repro.scanner.pool.multiprocessing.get_context",
+            lambda method: context,
+        )
+        return context
+
+    def test_close_also_closes_the_ipc_queue(self, monkeypatch):
+        context = self._record(monkeypatch)
+        pool = WorkerPool(workers=2, runner=_SyntheticRunner([50, 50]))
+        next(pool.run_scan(num_shards=2, batch_size=2))
         pool.close()
-        assert queue._reader.closed and queue._writer.closed
+        assert len(context.connections) == 4
+        assert all(end.closed for end in context.connections)
 
-    def test_worker_error_shutdown_closes_the_queue(self):
+    def test_worker_error_shutdown_closes_the_queue(self, monkeypatch):
+        context = self._record(monkeypatch)
         runner = _SyntheticRunner([3, 3], fail_shard=0)
         pool = WorkerPool(workers=2, runner=runner)
         with pytest.raises(WorkerPoolError):
-            _drain(pool, "s", 2, 2)
-        assert pool.closed
-        assert pool._queue._reader.closed and pool._queue._writer.closed
+            _drain(pool, 2, 2)
+        assert len(context.connections) == 4
+        assert all(end.closed for end in context.connections)
 
     def test_fork_failure_closes_the_queue(self, monkeypatch):
-        import multiprocessing as mp
-
-        real = mp.get_context("fork")
-        queues = []
-
-        class FailingPoolContext:
-            def SimpleQueue(self):
-                queue = real.SimpleQueue()
-                queues.append(queue)
-                return queue
-
-            def Pool(self, processes):
-                raise OSError("fork failed")
-
-        monkeypatch.setattr(
-            "repro.scanner.pool.multiprocessing.get_context",
-            lambda method: FailingPoolContext(),
-        )
+        """The second fork fails: the first worker is reaped, and both
+        pipes are closed."""
+        before = set(multiprocessing.active_children())
+        context = self._record(monkeypatch, fail_process=1)
+        pool = WorkerPool(workers=2, runner=_SyntheticRunner([1, 1]))
         with pytest.raises(OSError, match="fork failed"):
-            WorkerPool(workers=2, runner=_SyntheticRunner([1]))
-        assert len(queues) == 1
-        assert queues[0]._reader.closed and queues[0]._writer.closed
+            _drain(pool, 2, 1)
+        assert len(context.connections) == 4
+        assert all(end.closed for end in context.connections)
+        assert set(multiprocessing.active_children()) <= before
+
+
+#: A parent whose worker SIGKILLs itself on shard 1 of 3: ``run_scan``
+#: must raise rather than wait for shard 1 forever.
+_KILLED_WORKER_SCRIPT = textwrap.dedent(
+    """
+    import os
+    import signal
+
+    from repro.scanner.metrics import ShardMetrics
+    from repro.scanner.pool import WorkerPool, WorkerPoolError
+
+
+    class Runner:
+        def run_shard(self, shard_index, batch_size):
+            if shard_index == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return iter(()), ShardMetrics(shard_index=shard_index, targets=0)
+
+
+    with WorkerPool(workers=2, runner=Runner()) as pool:
+        try:
+            list(pool.run_scan(num_shards=3, batch_size=1))
+        except WorkerPoolError as exc:
+            print(exc)
+    """
+)
+
+
+class TestWorkerDeath:
+    def test_killed_worker_raises_instead_of_hanging(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        # A session of its own, so that a hang is cleaned up by killing
+        # the whole process group, forked workers included.
+        child = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_WORKER_SCRIPT],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("run_scan hung after a worker was SIGKILLed")
+        assert child.returncode == 0, err
+        assert out.strip() == (
+            "worker for shard 1 exited with code -9 before finishing it"
+        )
