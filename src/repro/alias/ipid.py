@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.alias.sets import AliasSets
 from repro.net.addresses import IPAddress

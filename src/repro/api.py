@@ -65,63 +65,43 @@ class TopologyOptions:
     The topology twin of :class:`~repro.scanner.executor.
     ExecutionOptions`: every way to shape *where devices come from* is a
     field here, never a new flat ``Session`` keyword (lint rule API002).
-    The default (all fields unset) keeps the historical behaviour — an
-    eagerly built sequential-layout topology.
+    The default (all fields unset) builds what the session's config
+    describes: an eager :class:`~repro.topology.model.Topology` for the
+    sequential layout, a :class:`~repro.topology.lazy.LazyTopology` for
+    the streamed one.
 
     Parameters
     ----------
-    layout:
-        Override the config's topology layout (``"sequential"`` or
-        ``"streamed"``).  The streamed layout derives every device from
-        ``(seed, address)`` alone, which is what makes lazy and
-        constant-memory campaigns possible; its populations are
-        byte-identically reproduced by :class:`~repro.topology.lazy.
-        LazyTopology` at probe time.
     lazy:
-        Build a :class:`~repro.topology.lazy.LazyTopology` view instead
-        of materializing devices up front.  Implies the streamed layout.
-        Campaign results over a lazy topology leave ``bindings`` empty —
-        query ``session.topology.owner_of`` / ``binding_of`` instead.
+        Switch the config to the streamed layout, which derives every
+        device from ``(seed, address)`` alone, and so build a
+        :class:`~repro.topology.lazy.LazyTopology` view instead of
+        materializing devices up front.  Campaign results over a lazy
+        topology leave ``bindings`` empty — query
+        ``session.topology.owner_of`` / ``binding_of`` instead.
     max_resident:
         Lazy only: cap on concurrently materialized devices (default
         ``TopologyConfig.stream_max_resident``).  Peak memory scales with
-        this window, not with the address space.
+        this window, not with the address space; a cap at or above the
+        world's device count keeps every derived device resident.
     topology_file:
         Load the topology from an ITDK-style topology description file
         (see :func:`repro.topology.datasets.load_topology_file`) instead
-        of generating one.  Mutually exclusive with ``lazy``/``layout``.
+        of generating one.  Mutually exclusive with ``lazy``.
     """
 
-    layout: "str | None" = None
     lazy: bool = False
     max_resident: "int | None" = None
     topology_file: "str | Path | None" = None
 
     def __post_init__(self) -> None:
-        if self.layout not in (None, "sequential", "streamed"):
-            raise ValueError(
-                "layout must be 'sequential' or 'streamed', "
-                f"got {self.layout!r}"
-            )
-        if self.lazy and self.layout == "sequential":
-            raise ValueError(
-                "lazy topologies require the streamed layout; "
-                "drop layout='sequential' or lazy=True"
-            )
-        if self.topology_file is not None and (
-            self.lazy or self.layout is not None
-        ):
+        if self.topology_file is not None and self.lazy:
             raise ValueError(
                 "topology_file loads a fixed topology; it cannot be "
-                "combined with lazy or layout overrides"
+                "combined with lazy"
             )
         if self.max_resident is not None and not self.lazy:
             raise ValueError("max_resident only applies to lazy=True")
-
-    @property
-    def effective_layout(self) -> "str | None":
-        """The layout this bundle demands of the config (None = keep)."""
-        return "streamed" if self.lazy else self.layout
 
 
 class Session:
@@ -146,8 +126,8 @@ class Session:
         Filter-pipeline knobs (see :class:`FilterPipeline`).
     topology:
         A :class:`TopologyOptions` bundle — the supported way to shape
-        where the ground-truth topology comes from (streamed layout,
-        lazy derivation, residency cap, topology-description files).
+        where the ground-truth topology comes from (lazy derivation,
+        residency cap, topology-description files).
         Like execution knobs, new topology knobs are added to the
         options object only.
     store:
@@ -173,9 +153,8 @@ class Session:
             divisor=scale, seed=seed
         )
         self._topology_options = topology or TopologyOptions()
-        wanted_layout = self._topology_options.effective_layout
-        if wanted_layout is not None and self.config.layout != wanted_layout:
-            self.config = dataclasses.replace(self.config, layout=wanted_layout)
+        if self._topology_options.lazy and self.config.layout != "streamed":
+            self.config = dataclasses.replace(self.config, layout="streamed")
         self._options = options or ExecutionOptions()
         self._pipeline_kwargs: dict = {"skip": skip}
         if reboot_threshold is not None:
@@ -324,11 +303,12 @@ class Session:
     def topology(self) -> "Topology | LazyTopology":
         """The ground-truth Internet (built/loaded on first access).
 
-        Dispatches on the session's :class:`TopologyOptions`: a
-        ``topology_file`` loads the described topology, ``lazy=True``
-        builds a :class:`~repro.topology.lazy.LazyTopology` view that
-        derives devices on demand, and otherwise the configured layout is
-        materialized eagerly via :func:`build_topology`.
+        A ``topology_file`` (:class:`TopologyOptions`) loads the described
+        topology.  Otherwise the config's layout decides: the streamed
+        layout (which ``lazy=True`` selects) builds a
+        :class:`~repro.topology.lazy.LazyTopology` view that derives
+        devices on demand, and the sequential layout is materialized
+        eagerly via :func:`build_topology`.
         """
         if self._topology is None:
             opts = self._topology_options
@@ -336,7 +316,7 @@ class Session:
                 self._topology = load_topology_file(
                     opts.topology_file, seed=self.config.seed
                 )
-            elif opts.lazy:
+            elif self.config.layout == "streamed":
                 self._topology = LazyTopology(
                     config=self.config, max_resident=opts.max_resident
                 )

@@ -58,15 +58,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.topology_file and (args.lazy or args.layout):
+    if args.topology_file and args.lazy:
         raise ValueError(
             "--topology-file loads a fixed topology; it cannot be "
-            "combined with --lazy or --layout"
+            "combined with --lazy"
         )
-    if args.lazy and args.layout == "sequential":
-        raise ValueError("--lazy requires the streamed layout")
     config = TopologyConfig.paper_scale(divisor=args.scale, seed=args.seed)
-    if args.lazy or args.layout == "streamed":
+    if args.lazy:
         config = replace(config, layout="streamed")
     stopwatch = Stopwatch(DEFAULT_CLOCK)
     topology: "Topology | LazyTopology"
@@ -508,15 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--window", type=int, default=None,
                       help="probes in flight per pipeline stage "
                            "(default 512; results are window-invariant)")
-    scan.add_argument("--layout", default=None,
-                      choices=("sequential", "streamed"),
-                      help="topology layout (streamed derives every device "
-                           "from (seed, address) alone)")
     scan.add_argument("--lazy", action="store_true",
-                      help="derive devices on demand during the scan "
-                           "instead of materializing the topology "
-                           "(implies --layout streamed; byte-identical "
-                           "results, constant memory)")
+                      help="use the streamed layout, which derives every "
+                           "device from (seed, address) alone, and derive "
+                           "devices on demand during the scan instead of "
+                           "materializing the topology (constant memory)")
     scan.add_argument("--max-resident", type=int, default=None,
                       help="with --lazy: cap on concurrently derived "
                            "devices (default 4096)")

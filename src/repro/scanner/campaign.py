@@ -32,17 +32,18 @@ every VIP jumps to :func:`~repro.topology.lazy.lb_cursor` at each scan
 start, next to the inter-scan reboots, so a round-robin pool can answer
 the two scans of a pair from different backends.
 
-Streamed layouts (``TopologyConfig(layout="streamed")``) change the
-campaign's memory shape, not its semantics.  A
-:class:`~repro.topology.lazy.LazyTopology` never materializes the world:
+A campaign runs over one of two world modes.  An eager
+:class:`~repro.topology.model.Topology` (the generated sequential layout,
+or a loaded topology file) binds every fabric endpoint up front and rolls
+reboots and churn from the campaign RNG.  A
+:class:`~repro.topology.lazy.LazyTopology` (the streamed layout,
+``TopologyConfig(layout="streamed")``) never materializes the world:
 fabric endpoints resolve at probe time, reboot/churn events are pure
 functions of ``(seed, device, address)``, dataset membership is a
 per-address roll, and targets stream through the windowed executor
 (``execute_stream``), so peak memory is bounded by one planning window.
-An eagerly built streamed ``Topology`` takes the same code path minus
-the resolver, and produces byte-identical scans — the differential
-suites in ``tests/topology/test_lazy_identity.py`` and
-``tests/scanner/test_streaming_campaign.py`` hold the two worlds equal.
+Golden digests in ``tests/topology/test_lazy_identity.py`` and
+``tests/scanner/test_streaming_campaign.py`` pin the lazy campaigns.
 """
 
 from __future__ import annotations
@@ -73,15 +74,7 @@ from repro.topology.datasets import (
     StreamedRouterDatasets,
     build_router_datasets,
 )
-from repro.topology.lazy import (
-    CHURN_PROBABILITY,
-    DeviceSlot,
-    LazyTopology,
-    StreamPlan,
-    derive_churn_rotation,
-    lb_cursor,
-    reboot_time,
-)
+from repro.topology.lazy import CHURN_PROBABILITY, LazyTopology, lb_cursor
 from repro.topology.model import Device, Topology
 
 #: Scan labels in chronological order.
@@ -96,8 +89,8 @@ _SCHEDULE = {
 
 #: Probability that a DHCP-pool device re-addresses within the inter-scan
 #: gap, per address family (6 days for IPv4, 1 day for IPv6).  One table
-#: for both campaign paths: the sequential scheduler rolls it from the
-#: campaign RNG, the streamed one through per-address pure functions.
+#: for both world modes: an eager world rolls it from the campaign RNG, a
+#: lazy one through per-address pure functions.
 _CHURN_PROB = CHURN_PROBABILITY
 
 
@@ -205,30 +198,12 @@ class ScanCampaign:
         options = options or ExecutionOptions()
         self.topology = topology
         self._lazy = isinstance(topology, LazyTopology)
-        self._streamed = (
-            self._lazy or getattr(topology, "layout", "sequential") == "streamed"
-        )
         if config is not None:
             self.config = config
         elif self._lazy:
             self.config = topology.config  # type: ignore[union-attr]
-        elif self._streamed:
-            streamed_config = getattr(topology, "stream_config", None)
-            self.config = streamed_config or TopologyConfig(
-                seed=topology.seed, layout="streamed"
-            )
         else:
             self.config = TopologyConfig(seed=topology.seed)
-        self._plan: "StreamPlan | None" = None
-        if self._lazy:
-            self._plan = topology.plan  # type: ignore[union-attr]
-        elif self._streamed:
-            self._plan = getattr(topology, "stream_plan", None)
-            if self._plan is None:
-                # An eagerly-built streamed Topology that lost its plan
-                # attribute (e.g. crossed a pickle boundary): rebuild it —
-                # the plan is a pure function of the config.
-                self._plan = StreamPlan(config=self.config)
         self.options = options
         self._rng = random.Random(topology.seed ^ 0x5CA7)
         self._fabric = NetworkFabric(
@@ -250,12 +225,11 @@ class ScanCampaign:
         self._binding: dict[IPAddress, int] = {}
         # Ground truth overlaid with the live binding, kept in sync at the
         # two binding write sites so ``owner_of`` is a single dict lookup.
-        # Streamed layouts derive ownership from the plan arithmetic plus a
-        # churn-override overlay instead of materializing the whole map.
+        # A lazy world derives ownership from its plan arithmetic plus a
+        # churn overlay instead of materializing the whole map.
         self._owner_map: dict[IPAddress, int] = (
-            {} if self._streamed else topology.address_owners()  # type: ignore[union-attr]
+            {} if self._lazy else topology.address_owners()  # type: ignore[union-attr]
         )
-        self._stream_overrides: dict[IPAddress, int] = {}
         self._reboot_times: dict[int, float] = {}
         self._rebooted: set[int] = set()
         # Load-balancer VIPs of an eager world, whose round-robin cursors
@@ -270,8 +244,8 @@ class ScanCampaign:
             ]
         )
         self._datasets: "RouterDatasets | StreamedRouterDatasets | None" = None
-        # Per-family sorted target lists (sequential layout only); the
-        # address plan is campaign-constant, so compute each family once.
+        # Per-family sorted target lists (eager worlds only); the address
+        # plan is campaign-constant, so compute each family once.
         self._target_lists: dict[int, list[IPAddress]] = {}
         # Lazy-resolver handler cache: keeps the most recently answering
         # devices strongly referenced so the topology's canonical weak map
@@ -280,11 +254,9 @@ class ScanCampaign:
             OrderedDict()
         )
         # Follow the lazy topology's residency cap so one knob bounds
-        # both strong-reference pools; non-lazy campaigns never resolve.
+        # both strong-reference pools; eager worlds never resolve.
         self._handler_cache_cap = (
-            topology.max_resident
-            if self._lazy
-            else max(4096, self.config.stream_max_resident)
+            topology.max_resident if self._lazy else 0  # type: ignore[union-attr]
         )
 
     # -- public -----------------------------------------------------------------
@@ -378,31 +350,20 @@ class ScanCampaign:
         This is the expensive half of the schedule; the workers of each
         parallel scan inherit what it builds copy-on-write.
 
-        Streamed layouts have almost nothing to set up: dataset
-        membership, reboot times and churn are pure functions, and a lazy
-        world resolves fabric endpoints at probe time instead of binding
-        them up front.
+        A lazy world has almost nothing to set up: dataset membership,
+        reboot times and churn are pure functions, and fabric endpoints
+        resolve at probe time instead of binding up front.
         """
-        if self._streamed:
-            assert self._plan is not None
+        if self._lazy:
             datasets = StreamedRouterDatasets(
                 seed=self.topology.seed,
                 config=self.config,
-                plan=self._plan,
-                device_for=self._device_for_slot,
-                # Lazy worlds answer dataset membership from the cheap
-                # membership records; eager-streamed worlds already hold
-                # every device, so the default device path is free.
-                membership_for=(
-                    self.topology.membership_at if self._lazy else None  # type: ignore[union-attr]
-                ),
+                plan=self.topology.plan,  # type: ignore[union-attr]
+                membership_for=self.topology.membership_at,  # type: ignore[union-attr]
             )
             result.datasets = datasets
             self._datasets = datasets
-            if self._lazy:
-                self._fabric.set_resolver(self._resolve_endpoint)
-            else:
-                self._bind_initial()
+            self._fabric.set_resolver(self._resolve_endpoint)
             return
         eager_datasets = build_router_datasets(self.topology, self.config)  # type: ignore[arg-type]
         result.datasets = eager_datasets
@@ -431,14 +392,9 @@ class ScanCampaign:
         owner_of: "Callable[[IPAddress], int | None]"
         owner_of_batch: "Callable[[list[IPAddress]], list[int | None]]"
         if self._lazy:
-            # Plan arithmetic plus the derived churn overlays; identical
-            # to the eager-streamed overlay below by construction, which
-            # keeps the two modes' shard plans byte-identical.
+            # Plan arithmetic plus the derived churn overlays.
             owner_of = self.topology.owner_of  # type: ignore[union-attr]
             owner_of_batch = self.topology.owners_of  # type: ignore[union-attr]
-        elif self._streamed:
-            owner_of = self._stream_owner_of
-            owner_of_batch = self._stream_owners_of
         else:
             owner_of = self._owner_map.get
             owner_of_batch = self._owner_map_owners
@@ -466,8 +422,8 @@ class ScanCampaign:
         rate: float,
         targets: "list[IPAddress] | Iterator[IPAddress]",
     ) -> "ScanExecution | StreamingScanExecution":
-        """One scan's execution handle: windowed for streamed layouts."""
-        if self._streamed:
+        """One scan's execution handle: windowed for lazy worlds."""
+        if self._lazy:
             return self._make_executor().execute_stream(
                 targets, label=label, ip_version=version,
                 start_time=start, rate_pps=rate,
@@ -525,17 +481,6 @@ class ScanCampaign:
         seed = self.topology.seed
         for device_id, pool in self._pools:
             pool._rr_counter = lb_cursor(seed, device_id, now)
-        if self._streamed:
-            rebooted = self._rebooted
-            for device in self.topology.devices.values():
-                if not device.reboot_between_scans \
-                        or device.device_id in rebooted:
-                    continue
-                when = reboot_time(seed, device.device_id)
-                if when <= now:
-                    device.agent.reboot(when)
-                    rebooted.add(device.device_id)
-            return
         for device_id, when in self._reboot_times.items():
             if when <= now and device_id not in self._rebooted:
                 self.topology.devices[device_id].agent.reboot(when)
@@ -544,37 +489,13 @@ class ScanCampaign:
     def _apply_churn(self, version: int) -> None:
         """Re-address DHCP-pool devices before the family's second scan.
 
-        The sequential path rolls churn from the campaign RNG over the
-        live binding map; the streamed paths derive it per AS from
-        per-address pure functions (:func:`derive_churn_rotation`) — the
-        lazy view as an ownership overlay consulted at probe time, the
-        eager-streamed world as an explicit fabric rebind — so both
-        modes agree address for address.
+        An eager world rolls churn from the campaign RNG over the live
+        binding map and rebinds the fabric; a lazy world derives it per
+        AS from per-address pure functions, as an ownership overlay
+        consulted at probe time.
         """
         if self._lazy:
             self.topology.activate_churn(version)  # type: ignore[union-attr]
-            return
-        if self._streamed:
-            assert self._plan is not None
-            seed = self.topology.seed
-            devices = self.topology.devices
-            for as_plan in self._plan.plans:
-                members = (
-                    devices[as_plan.device_id_base + index]
-                    for index in range(as_plan.n_devices)
-                )
-                rotation = derive_churn_rotation(seed, version, members)
-                if not rotation:
-                    continue
-                for address in rotation:
-                    self._fabric.unbind(address, "udp", SNMP_PORT)
-                for address, new_owner in rotation.items():
-                    device = devices[new_owner]
-                    self._binding[address] = new_owner
-                    self._stream_overrides[address] = new_owner
-                    self._fabric.bind(
-                        address, "udp", SNMP_PORT, self._handler_for(device)
-                    )
             return
         prob = _CHURN_PROB[version]
         pools: dict[int, list[IPAddress]] = {}
@@ -605,14 +526,13 @@ class ScanCampaign:
         version: int,
         datasets: "RouterDatasets | StreamedRouterDatasets",
     ) -> "list[IPAddress] | Iterator[IPAddress]":
-        if self._streamed:
+        if self._lazy:
             assert isinstance(datasets, StreamedRouterDatasets)
-            assert self._plan is not None
             if version == 4:
                 # The full slot sweep — every address the plan *could*
                 # assign, whether or not the owning device bound it; the
                 # streamed analogue of probing the routable space.
-                return self._plan.iter_v4_targets()
+                return self.topology.plan.iter_v4_targets()  # type: ignore[union-attr]
             return datasets.iter_hitlist_targets_v6()
         assert isinstance(datasets, RouterDatasets)
         # The target list per family is fixed for the whole campaign —
@@ -633,42 +553,12 @@ class ScanCampaign:
         self._target_lists[version] = targets
         return targets
 
-    # -- streamed-layout plumbing -------------------------------------------------
-
-    def _device_for_slot(self, slot: DeviceSlot) -> Device:
-        """Materialize one slot (dataset membership, churn derivation)."""
-        if self._lazy:
-            return self.topology.device_at(slot)  # type: ignore[union-attr]
-        return self.topology.devices[slot.device_id]
-
-    def _stream_owner_of(self, address: IPAddress) -> "int | None":
-        """Eager-streamed ownership: churn overrides over plan arithmetic."""
-        override = self._stream_overrides.get(address)
-        if override is not None:
-            return override
-        assert self._plan is not None
-        slot = self._plan.locate(address)
-        return None if slot is None else slot.device_id
-
-    def _stream_owners_of(
-        self, addresses: "list[IPAddress]"
-    ) -> "list[int | None]":
-        """Batch form of :meth:`_stream_owner_of`: plan sweep + overlay."""
-        assert self._plan is not None
-        owners = self._plan.owner_ids(addresses)
-        overrides = self._stream_overrides
-        if overrides:
-            override_get = overrides.get
-            for position, address in enumerate(addresses):
-                override = override_get(address)
-                if override is not None:
-                    owners[position] = override
-        return owners
+    # -- ownership ------------------------------------------------------------------
 
     def _owner_map_owners(
         self, addresses: "list[IPAddress]"
     ) -> "list[int | None]":
-        """Sequential-layout batch ownership: one C-speed map over the dict."""
+        """Eager-world batch ownership: one C-speed map over the dict."""
         return list(map(self._owner_map.get, addresses))
 
     def _resolve_endpoint(
@@ -681,8 +571,8 @@ class ScanCampaign:
         LRU of ``(device, handler)`` pairs keeps recently probed devices
         strongly referenced — the lazy topology's canonical weak map then
         guarantees that retries and multi-interface probes inside a
-        window hit the *same* agent object, preserving session-state
-        byte-identity with the eager world.
+        window hit the *same* agent object, as they would in a world
+        whose every device stays live.
         """
         if protocol != "udp" or port != SNMP_PORT:
             return None

@@ -29,6 +29,8 @@ parent as :class:`WorkerPoolError`.  A worker that dies before it has
 finished its shards (SIGKILL, ``os._exit``) closes its pipe; the parent
 reads end-of-file and raises :class:`WorkerPoolError` naming the
 unfinished shard and the worker's exit code instead of waiting forever.
+Each worker first closes the parent-side pipe ends it inherited at fork,
+so once the parent is gone its next send fails and it exits.
 
 The pool is agnostic to *how* a shard probes: the runner executes the
 staged batch pipeline and cuts its observations into the same batch
@@ -78,9 +80,22 @@ class WorkerPoolError(RuntimeError):
 
 
 def _worker_main(
-    runner: ShardRunner, conn: Connection, shards: range, batch_size: int
+    runner: ShardRunner,
+    conn: Connection,
+    shards: range,
+    batch_size: int,
+    inherited: "list[Connection]",
 ) -> None:
-    """Worker body: run ``shards`` in order, streaming each to ``conn``."""
+    """Worker body: run ``shards`` in order, streaming each to ``conn``.
+
+    ``inherited`` holds the parent's read ends this fork copied: its own
+    pipe's and every earlier worker's.  They are closed first: while any
+    copy of a pipe's read end stays open, a send never sees a broken
+    pipe, so a worker whose parent was killed would block forever once
+    its pipe filled.
+    """
+    for end in inherited:
+        end.close()
     try:
         for shard_index in shards:
             batches, metrics = runner.run_shard(shard_index, batch_size)
@@ -151,7 +166,10 @@ class WorkerPool:
                 # are; nothing is pickled.
                 process = context.Process(
                     target=_worker_main,
-                    args=(self._runner, writer, shards, batch_size),
+                    args=(
+                        self._runner, writer, shards, batch_size,
+                        [reader, *(worker.reader for worker in self._workers)],
+                    ),
                     daemon=True,
                 )
                 process.start()

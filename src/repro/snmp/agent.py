@@ -23,7 +23,7 @@ or future engine times, and malformed replies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.asn1 import ber
 from repro.asn1.oid import Oid

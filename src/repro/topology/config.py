@@ -157,9 +157,11 @@ class TopologyConfig:
     scale_divisor: float = 100.0
 
     #: Topology layout. ``"sequential"`` threads one seeded RNG through
-    #: every device in creation order (the classic byte-stable world);
-    #: ``"streamed"`` derives each device independently from
-    #: ``(seed, asn, slot)`` so it can be rebuilt lazily at probe time.
+    #: every device in creation order (the classic byte-stable world,
+    #: built eagerly by ``build_topology``); ``"streamed"`` derives each
+    #: device independently from ``(seed, asn, slot)`` so it can be
+    #: rebuilt at probe time — only a
+    #: :class:`~repro.topology.lazy.LazyTopology` builds it.
     layout: str = "sequential"
     #: Streamed layout only: IPv4 addresses reserved per device slot.
     #: Must cover the largest multi-IP device.

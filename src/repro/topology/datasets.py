@@ -32,7 +32,6 @@ if TYPE_CHECKING:
     from pathlib import Path
 
     from repro.topology.lazy import DeviceSlot, SlotMembership, StreamPlan
-    from repro.topology.model import Device
 
 
 @dataclass(frozen=True)
@@ -254,16 +253,17 @@ def _hostname(style: str, suffix: str, router_name: str, iface_index: int,
 
 
 class StreamedRouterDatasets:
-    """Per-address dataset membership for streamed and lazy topologies.
+    """Per-address dataset membership for lazy (streamed-layout) topologies.
 
     :func:`build_router_datasets` threads one RNG through every device in
     creation order, which would force a full materialization.  Here every
     membership decision is a pure function of ``(seed, kind, address)``
     (a :func:`repro.topology.lazy.mix`-keyed roll), so the ITDK / RIPE /
     hitlist views answer point queries and stream the IPv6 target list
-    without ever holding the world.  Lazy and eagerly-streamed campaigns
-    share this class, which is what keeps their target lists — and thus
-    their scan results — byte-identical.
+    without ever holding the world.  Dataset membership only reads
+    device types and interface addresses, so every query answers from the
+    topology's cheap per-slot membership records without materializing a
+    device.
 
     ``config.ripe_from_traceroutes`` is ignored on this path: the
     simulated Atlas campaign needs global forwarding state, so streamed
@@ -276,17 +276,12 @@ class StreamedRouterDatasets:
         seed: int,
         config: TopologyConfig,
         plan: "StreamPlan",
-        device_for: "Callable[[DeviceSlot], Device]",
-        membership_for: "Callable[[DeviceSlot], object] | None" = None,
+        membership_for: "Callable[[DeviceSlot], SlotMembership]",
     ) -> None:
         self._seed = seed
         self._config = config
         self._plan = plan
-        self._device_for = device_for
-        # Dataset membership only reads device_type and interface
-        # addresses, so a lazy topology passes its membership_at here and
-        # every query answers without materializing a device.
-        self._record_for = membership_for if membership_for is not None else device_for
+        self._record_for = membership_for
 
     # -- per-address rolls ---------------------------------------------------
 
@@ -303,7 +298,7 @@ class StreamedRouterDatasets:
         return False, self._roll("hl-tgt", address) < frac
 
     def _endhost_v6_hitlist(
-        self, device: "Device | SlotMembership", address: IPAddress
+        self, device: "SlotMembership", address: IPAddress
     ) -> tuple[bool, bool]:
         is_cpe = device.device_type is DeviceType.CPE
         frac = (
@@ -319,7 +314,7 @@ class StreamedRouterDatasets:
         )
         return hop, True
 
-    def _owned_device(self, address: IPAddress) -> "Device | SlotMembership | None":
+    def _owned_device(self, address: IPAddress) -> "SlotMembership | None":
         slot = self._plan.locate(address)
         if slot is None:
             return None
@@ -352,7 +347,7 @@ class StreamedRouterDatasets:
             return False
         return self._endhost_v6_hitlist(device, address)[0]
 
-    def _hitlist_v6(self, device: "Device | SlotMembership",
+    def _hitlist_v6(self, device: "SlotMembership",
                     address: IPAddress) -> bool:
         if device.device_type is DeviceType.ROUTER:
             return self._router_v6_hitlist(address)[1]

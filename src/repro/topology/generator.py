@@ -20,13 +20,12 @@ Two layouts share one set of derivation helpers:
 * ``layout="sequential"`` (the default) threads a single seeded RNG and
   sequential address cursors through every device, in creation order —
   identical configs produce byte-identical Internets, and the draw order
-  is load-bearing for seed stability.
+  is load-bearing for seed stability.  ``build()`` materializes it.
 * ``layout="streamed"`` derives each device from an *independent* RNG
-  keyed on ``(seed, asn, slot)`` with arithmetic address slots, so the
-  same device can be rebuilt in isolation at probe time
-  (:class:`repro.topology.lazy.LazyTopology`) or eagerly via ``build()``
-  — the two paths are byte-identical by construction because they call
-  the same ``derive_*`` functions with the same RNG streams.
+  keyed on ``(seed, asn, slot)`` with arithmetic address slots, so any
+  device can be rebuilt in isolation at probe time.  Only
+  :class:`repro.topology.lazy.LazyTopology` builds it; ``build()``
+  rejects a streamed config.
 
 The ``derive_*`` module functions take every input explicitly
 (config, RNG, allocator, shared populations); the generator class is a
@@ -592,10 +591,18 @@ class TopologyGenerator:
     # -- public API ---------------------------------------------------------
 
     def build(self) -> Topology:
-        """Generate the full topology."""
+        """Generate the full sequential-layout topology.
+
+        A streamed config raises :class:`ValueError`: that layout is
+        built on demand by :class:`repro.topology.lazy.LazyTopology`.
+        """
         cfg = self.config
         if cfg.layout == "streamed":
-            return self._build_streamed()
+            raise ValueError(
+                "the streamed layout is derived on demand: build it with "
+                "repro.topology.lazy.LazyTopology(config=...), not "
+                "TopologyGenerator.build()"
+            )
         ases = self._build_ases()
         as_list = list(ases.values())
         router_counts = self._router_counts_per_as(as_list)
@@ -619,29 +626,6 @@ class TopologyGenerator:
 
         return Topology(ases=ases, devices=devices, seed=cfg.seed,
                         epoch=timeline.REFERENCE_TIME)
-
-    def _build_streamed(self) -> Topology:
-        """Eagerly materialize the streamed layout.
-
-        Same per-slot derivation as :class:`repro.topology.lazy.LazyTopology`
-        — the differential test suites assert the two are byte-identical.
-        """
-        from repro.topology.lazy import StreamPlan, build_as_objects, derive_device
-
-        cfg = self.config
-        plan = StreamPlan(config=cfg)
-        shared = self._shared_populations()
-        ases = build_as_objects(plan)
-        devices: dict[int, Device] = {}
-        for slot in plan.iter_slots():
-            device = derive_device(cfg, self.registry, plan, slot, shared, ases)
-            devices[device.device_id] = device
-            ases[slot.asn].device_ids.append(device.device_id)
-        topology = Topology(ases=ases, devices=devices, seed=cfg.seed,
-                            epoch=timeline.REFERENCE_TIME, layout="streamed")
-        topology.stream_plan = plan  # type: ignore[attr-defined]
-        topology.stream_config = cfg  # type: ignore[attr-defined]
-        return topology
 
     def _shared_populations(self) -> SharedPopulations:
         if self._shared is None:

@@ -6,10 +6,10 @@ that chain: a compact :class:`StreamPlan` (O(number of ASes)) fixes each
 AS's region, vendor profile and device counts, and every device then
 derives from an independent RNG keyed on ``(seed, asn, slot-index)``
 with arithmetic address slots.  Any device can therefore be rebuilt in
-isolation — at probe time, in any order, any number of times — and the
-result is byte-identical to eagerly materializing the whole world
-(``TopologyGenerator.build()`` with ``layout="streamed"`` iterates the
-same slots through the same derivation functions).
+isolation — at probe time, in any order, any number of times — with the
+same result.  :class:`LazyTopology` is the only builder of this layout:
+it holds a bounded window of devices, and ``max_resident`` at or above
+the device count keeps every derived device resident.
 
 Address arithmetic (the invertible part):
 
@@ -24,7 +24,8 @@ Address arithmetic (the invertible part):
 Between-scan events are pure functions too: :func:`reboot_time` and
 :func:`lb_cursor` key on the device id, :func:`churn_roll` on
 ``(version, address)``, so reboots, load-balancer drift and DHCP churn
-apply identically whether the world is lazy or eager.
+apply identically however many times, and in whatever order, a device
+is derived.
 """
 
 from __future__ import annotations
@@ -1056,10 +1057,6 @@ class LazyTopology:
         if slot is None:
             return None
         return self.device_at(slot)
-
-    def materialize(self) -> "object":
-        """Eagerly build the equivalent ``Topology`` (differential tests)."""
-        return TopologyGenerator(config=self.config, registry=self.registry).build()
 
     # -- between-scan events ------------------------------------------------
 

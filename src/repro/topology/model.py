@@ -128,9 +128,9 @@ class Topology:
     devices: dict[int, Device]
     seed: int
     epoch: float = 0.0
-    #: ``"sequential"`` (classic creation-order world), ``"streamed"``
-    #: (per-slot derivation, lazy-equivalent) or ``"file"`` (ingested
-    #: topology description).
+    #: ``"sequential"`` (classic creation-order world) or ``"file"``
+    #: (ingested topology description).  The streamed layout has no eager
+    #: ``Topology``; :class:`~repro.topology.lazy.LazyTopology` builds it.
     layout: str = "sequential"
 
     def __post_init__(self) -> None:

@@ -3,34 +3,20 @@
 import pytest
 
 from repro.api import Session, TopologyOptions
+from repro.scanner.campaign import ScanCampaign
 from repro.topology import LazyTopology, Topology
+from repro.topology.config import TopologyConfig
 from repro.topology.datasets import dump_topology_file
 
 
 class TestValidation:
-    def test_lazy_conflicts_with_sequential_layout(self):
-        with pytest.raises(ValueError, match="streamed layout"):
-            TopologyOptions(lazy=True, layout="sequential")
-
     def test_topology_file_conflicts_with_lazy(self):
         with pytest.raises(ValueError, match="cannot be combined"):
             TopologyOptions(topology_file="x.txt", lazy=True)
 
-    def test_topology_file_conflicts_with_layout(self):
-        with pytest.raises(ValueError, match="cannot be combined"):
-            TopologyOptions(topology_file="x.txt", layout="streamed")
-
     def test_max_resident_requires_lazy(self):
         with pytest.raises(ValueError, match="max_resident"):
             TopologyOptions(max_resident=1024)
-
-    def test_unknown_layout_rejected(self):
-        with pytest.raises(ValueError, match="layout"):
-            TopologyOptions(layout="bogus")
-
-    def test_lazy_implies_streamed(self):
-        assert TopologyOptions(lazy=True).effective_layout == "streamed"
-        assert TopologyOptions().effective_layout is None
 
 
 class TestSessionDispatch:
@@ -50,13 +36,12 @@ class TestSessionDispatch:
         assert topology.max_resident == 600
         assert topology.derivations == 0  # nothing built yet
 
-    def test_streamed_layout_builds_eagerly(self):
-        session = Session(
-            scale=4000, seed=3, topology=TopologyOptions(layout="streamed"),
-        )
-        topology = session.topology
-        assert isinstance(topology, Topology)
-        assert topology.layout == "streamed"
+    def test_streamed_config_builds_lazy_view(self):
+        config = TopologyConfig.streamed(divisor=4000, seed=3)
+        topology = Session(config=config).topology
+        assert isinstance(topology, LazyTopology)
+        assert topology.config == config
+        assert topology.derivations == 0
 
     def test_topology_file_loads_described_world(self, tmp_path):
         donor = Session(scale=4000, seed=3).topology
@@ -68,8 +53,10 @@ class TestSessionDispatch:
         assert sorted(loaded.devices) == sorted(donor.devices)
 
     def test_lazy_session_campaign_matches_streamed_session(self):
-        def fingerprint(session):
-            result = session.run_campaign()
+        """``lazy=True`` and a streamed config both give the campaign a
+        direct ``ScanCampaign`` runs over a ``LazyTopology``."""
+
+        def fingerprint(result):
             return [
                 (
                     label,
@@ -83,11 +70,13 @@ class TestSessionDispatch:
                 for label, scan in sorted(result.scans.items())
             ]
 
-        lazy_fp = fingerprint(
-            Session(scale=4000, seed=3, topology=TopologyOptions(lazy=True))
+        config = TopologyConfig.streamed(divisor=4000, seed=3)
+        direct = fingerprint(
+            ScanCampaign(topology=LazyTopology(config=config)).run()
         )
-        eager_fp = fingerprint(
-            Session(scale=4000, seed=3,
-                    topology=TopologyOptions(layout="streamed"))
+        assert direct
+        lazy_session = Session(
+            scale=4000, seed=3, topology=TopologyOptions(lazy=True)
         )
-        assert lazy_fp == eager_fp
+        assert fingerprint(lazy_session.run_campaign()) == direct
+        assert fingerprint(Session(config=config).run_campaign()) == direct

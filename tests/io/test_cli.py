@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from repro.api import Session, TopologyOptions
 from repro.cli import build_parser, main
+from repro.io import load_scan_jsonl
+from repro.scanner.campaign import SCAN_LABELS
 
 
 class TestParser:
@@ -56,6 +59,40 @@ class TestScanAnalyzeWorkflow:
         run_dir = tmp_path / "run"
         main(["scan", "--scale", "1500", "--seed", "3", "--out", str(run_dir)])
         assert main(["analyze", str(run_dir), "--threshold", "60"]) == 0
+
+
+@pytest.fixture(scope="module")
+def lazy_session_scans():
+    """A lazy ``Session``'s observations per scan at 1/4000, seed 5."""
+    session = Session(scale=4000, seed=5, topology=TopologyOptions(lazy=True))
+    return {
+        label: scan.observations
+        for label, scan in session.scan().campaign.scans.items()
+    }
+
+
+class TestLazyScan:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lazy_jsonl_matches_lazy_session(
+        self, workers, tmp_path, lazy_session_scans
+    ):
+        run_dir = tmp_path / "run"
+        assert main(["scan", "--lazy", "--scale", "4000", "--seed", "5",
+                     "--workers", str(workers), "--out", str(run_dir)]) == 0
+        for label in SCAN_LABELS:
+            want = lazy_session_scans[label]
+            assert want, label
+            got = load_scan_jsonl(run_dir / f"scan-{label}.jsonl").observations
+            assert got == want, label
+
+    def test_layout_flag_is_gone(self, tmp_path, capsys):
+        argv = [*"scan --layout streamed --scale 4000".split(),
+                "--out", str(tmp_path / "run")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --layout streamed" in \
+            capsys.readouterr().err
 
 
 class TestLab:

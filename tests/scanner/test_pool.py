@@ -3,10 +3,12 @@
 import ipaddress
 import multiprocessing
 import os
+import select
 import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -281,3 +283,95 @@ class TestWorkerDeath:
         assert out.strip() == (
             "worker for shard 1 exited with code -9 before finishing it"
         )
+
+
+#: A parent that runs a 2-worker scan over endless shards, prints its
+#: workers' pids after the first message, then waits to be killed.
+_ENDLESS_SCAN_SCRIPT = textwrap.dedent(
+    """
+    import ipaddress
+    import multiprocessing
+    import time
+
+    from repro.scanner.metrics import ShardMetrics
+    from repro.scanner.pool import WorkerPool
+    from repro.scanner.records import ScanObservation
+    from repro.snmp.engine_id import EngineId
+
+    OBSERVATION = ScanObservation(
+        address=ipaddress.ip_address("192.0.2.1"),
+        recv_time=1.0,
+        engine_id=EngineId(bytes.fromhex("80000009050102")),
+        engine_boots=1,
+        engine_time=1,
+        response_count=1,
+        wire_bytes=40,
+    )
+
+
+    class Endless:
+        def run_shard(self, shard_index, batch_size):
+            def batches():
+                while True:
+                    yield [OBSERVATION] * batch_size
+
+            return batches(), ShardMetrics(shard_index=shard_index, targets=0)
+
+
+    stream = WorkerPool(workers=2, runner=Endless()).run_scan(
+        num_shards=2, batch_size=64
+    )
+    next(stream)
+    print(*(child.pid for child in multiprocessing.active_children()),
+          flush=True)
+    time.sleep(120)
+    """
+)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is neither a zombie nor dead."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs Linux /proc"
+)
+class TestOrphanedWorkers:
+    def test_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        with open(tmp_path / "stderr", "w") as stderr:
+            # A session of its own, so that whatever outlives the test is
+            # killed with the whole process group.
+            child = subprocess.Popen(
+                [sys.executable, "-c", _ENDLESS_SCAN_SCRIPT],
+                stdout=subprocess.PIPE,
+                stderr=stderr,
+                text=True,
+                env=env,
+                start_new_session=True,
+            )
+        try:
+            ready, __, __ = select.select([child.stdout], [], [], 30)
+            assert ready, "the scan never produced its first message"
+            workers = [int(pid) for pid in child.stdout.readline().split()]
+            assert len(workers) == 2, (tmp_path / "stderr").read_text()
+            os.kill(child.pid, signal.SIGKILL)
+            child.wait(timeout=30)
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline and any(map(_running, workers)):
+                time.sleep(0.1)
+            assert not [pid for pid in workers if _running(pid)], (
+                "workers outlived their SIGKILLed parent"
+            )
+        finally:
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            child.wait(timeout=30)
+            child.stdout.close()

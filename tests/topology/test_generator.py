@@ -36,6 +36,10 @@ class TestDeterminism:
             if i in b.devices
         )
 
+    def test_streamed_config_is_left_to_the_lazy_topology(self):
+        with pytest.raises(ValueError, match="LazyTopology"):
+            build_topology(TopologyConfig.streamed(divisor=4000, seed=77))
+
 
 class TestPopulation:
     def test_counts_near_config(self, topo):

@@ -1,18 +1,26 @@
-"""Lazy-vs-eager byte identity for the streamed topology layout.
+"""Golden digests for the lazy streamed world.
 
 A :class:`~repro.topology.lazy.LazyTopology` derives every device from
-``(seed, slot)`` at probe time; ``build_topology`` with
-``layout="streamed"`` iterates the same slots eagerly.  The two views may
-never differ by a single bit: every device field, every scan observation
-(address, recv time, engine triplet, reply count, wire bytes), every scan
-aggregate and every shard counter must match — at every worker count,
-under every fault profile, across adversarial personalities, with and
-without retry policies, and regardless of the order (or number of times)
-devices are derived.
+``(seed, slot)`` at probe time.  Each golden row freezes one of its
+campaigns (every observation, scan aggregate and shard counter), its
+device population or its AS objects as a sha256 digest.  The digests
+were blessed at a commit that could still build the streamed layout
+eagerly, where the eager world gave the same digest as the lazy view on
+every row, so they stand in for that deleted build: at every worker
+count, under every fault profile, across adversarial personalities,
+with retry policies and with a residency cap that forces re-derivation.
+Rows that change only the worker count must reproduce their one-worker
+row.  The property tests hold derivation a pure function of
+``(seed, slot)``: any order, any number of times, on any number of
+views, reproduces the in-order view the device digest pins.
+
+A digest is re-blessed only by a change that means to move the streamed
+world, and that change says which rows moved and why.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -21,7 +29,6 @@ from hypothesis import given, settings, strategies as st
 from repro.scanner.campaign import ScanCampaign
 from repro.scanner.executor import ExecutionOptions, RetryPolicy
 from repro.topology.config import TopologyConfig
-from repro.topology.generator import build_topology
 from repro.topology.lazy import LazyTopology
 
 #: Small but adversarial-rich world (same sizing as the pipeline
@@ -37,11 +44,26 @@ COUNTER_FIELDS = (
     "corrupted", "probe_bytes", "reply_bytes",
 )
 
+#: Digest of each golden row, blessed where the lazy view and the eagerly
+#: built streamed world gave the same digest.
+GOLDEN = {
+    "fault-free": "4357af0314aa8c6f460f77f507eb8855fd3b58acb47c123f787f7e43dfde1f8b",
+    "chaos": "178a23893cab89f4e4b475df3491677f8715e12504dfde79e84367b9c646c43e",
+    "conformance": "4a3e7b4f3723dd1621ffbb6aca91b99d7dee2c921100f6f724eeb66dde600058",
+    "adversarial-retries": "54b8941c8d336bb771281f2a04b7e9c4d7ac6ec3ba5b7bfe48567ca53761162b",
+    "devices": "2ec5b602176d97586e0b2393ba3fec5e537c3b0cdeff7910d7b19777a745cf55",
+    "ases": "a74c68b75f4fbf7905ee72b2ba49516cce30d98221b0287e7e31c1835c1fd78d",
+}
+
 
 def make_config(seed: int = SEED, **overrides) -> TopologyConfig:
     return TopologyConfig(
         seed=seed, scale_divisor=DIVISOR, layout="streamed", **overrides
     )
+
+
+def digest(value: object) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
 def device_fingerprint(device) -> tuple:
@@ -71,8 +93,17 @@ def device_fingerprint(device) -> tuple:
     )
 
 
-def campaign_fingerprint(topology, config, **options_kw):
-    """Run the four-scan campaign; reduce it to comparable structures."""
+def as_fingerprints(topology) -> list:
+    return [
+        (asn, asys.region, str(asys.ipv4_prefix), str(asys.ipv6_prefix),
+         asys.router_open_rate)
+        for asn, asys in sorted(topology.ases.items())
+    ]
+
+
+def campaign_digest(topology, config, **options_kw) -> str:
+    """Run the four-scan campaign; digest every observation, scan
+    aggregate and shard counter."""
     campaign = ScanCampaign(
         topology=topology, config=config,
         options=ExecutionOptions(**options_kw),
@@ -103,27 +134,25 @@ def campaign_fingerprint(topology, config, **options_kw):
             tuple(getattr(shard, f) for f in COUNTER_FIELDS)
             for shard in sorted(metrics.shards, key=lambda s: s.shard_index)
         ]
-        for label, metrics in result.metrics.items()
+        for label, metrics in sorted(result.metrics.items())
     }
-    return fingerprint, counters
+    return digest((fingerprint, counters))
 
 
-def assert_campaigns_identical(config=None, **options_kw):
+def lazy_campaign_digest(config=None, **options_kw) -> str:
     config = config or make_config()
-    lazy = LazyTopology(config=config)
-    lazy_fp = campaign_fingerprint(lazy, config, **options_kw)
-    eager_fp = campaign_fingerprint(build_topology(config), config, **options_kw)
-    assert lazy_fp == eager_fp
-    return lazy
+    return campaign_digest(LazyTopology(config=config), config, **options_kw)
 
 
-# -- campaign-level identity (the acceptance gate) ------------------------------
+# -- campaign rows (the acceptance gate) ----------------------------------------
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("fault_profile", [None, "chaos"])
 def test_campaign_identity_across_workers_and_faults(workers, fault_profile):
-    assert_campaigns_identical(workers=workers, fault_profile=fault_profile)
+    row = "fault-free" if fault_profile is None else fault_profile
+    got = lazy_campaign_digest(workers=workers, fault_profile=fault_profile)
+    assert got == GOLDEN[row], (row, workers)
 
 
 def test_campaign_identity_with_adversarial_agents_and_retries():
@@ -133,13 +162,8 @@ def test_campaign_identity_with_adversarial_agents_and_retries():
     config = make_config(adversarial_frac=0.15)
     retry = RetryPolicy(max_retries=2, timeout=1.5, breaker_threshold=3)
     lazy = LazyTopology(config=config, max_resident=512)
-    lazy_fp = campaign_fingerprint(
-        lazy, config, fault_profile="chaos", retry=retry
-    )
-    eager_fp = campaign_fingerprint(
-        build_topology(config), config, fault_profile="chaos", retry=retry
-    )
-    assert lazy_fp == eager_fp
+    got = campaign_digest(lazy, config, fault_profile="chaos", retry=retry)
+    assert got == GOLDEN["adversarial-retries"]
     # The cap genuinely bit: the materialized working set exceeded the
     # residency cap (so eviction and re-derivation happened mid-campaign)
     # while residency stayed O(cap) (topology window + handler cache).
@@ -150,15 +174,11 @@ def test_campaign_identity_with_adversarial_agents_and_retries():
 
 
 def test_campaign_identity_under_conformance_profile():
-    assert_campaigns_identical(fault_profile="conformance")
+    assert lazy_campaign_digest(fault_profile="conformance") == \
+        GOLDEN["conformance"]
 
 
 # -- device-level identity ------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def eager_world():
-    return build_topology(make_config())
 
 
 @pytest.fixture(scope="module")
@@ -166,27 +186,32 @@ def lazy_world():
     return LazyTopology(config=make_config())
 
 
-def test_every_device_derives_identically(eager_world, lazy_world):
-    assert len(lazy_world.devices) == len(eager_world.devices)
-    for device_id, eager_device in eager_world.devices.items():
-        assert device_fingerprint(lazy_world.devices[device_id]) == \
-            device_fingerprint(eager_device)
+@pytest.fixture(scope="module")
+def in_order(lazy_world) -> dict:
+    """``device id -> device_fingerprint``, derived in id order."""
+    return {
+        device_id: device_fingerprint(lazy_world.devices[device_id])
+        for device_id in range(1, lazy_world.device_count + 1)
+    }
 
 
-def test_as_objects_match(eager_world, lazy_world):
-    assert set(lazy_world.ases) == set(eager_world.ases)
-    for asn, eager_as in eager_world.ases.items():
-        lazy_as = lazy_world.ases[asn]
-        assert lazy_as.region == eager_as.region
-        assert lazy_as.ipv4_prefix == eager_as.ipv4_prefix
-        assert lazy_as.ipv6_prefix == eager_as.ipv6_prefix
-        assert lazy_as.router_open_rate == eager_as.router_open_rate
+def test_every_device_derives_identically(in_order):
+    assert digest(list(in_order.values())) == GOLDEN["devices"]
 
 
-def test_owner_of_matches_eager_ownership(eager_world, lazy_world):
-    owners = eager_world.address_owners()
-    for address, device_id in owners.items():
-        assert lazy_world.owner_of(address) == device_id
+def test_as_objects_match(lazy_world):
+    assert digest(as_fingerprints(lazy_world)) == GOLDEN["ases"]
+
+
+def test_owner_of_matches_eager_ownership(lazy_world):
+    """Every interface address of every derived device is owned by that
+    device — the map an eager world indexes its ground truth by."""
+    checked = 0
+    for device_id in range(1, lazy_world.device_count + 1):
+        for interface in lazy_world.devices[device_id].interfaces:
+            assert lazy_world.owner_of(interface.address) == device_id
+            checked += 1
+    assert checked > lazy_world.device_count
 
 
 # -- property tests: derivation is a pure function of (seed, slot) --------------
@@ -195,24 +220,24 @@ def test_owner_of_matches_eager_ownership(eager_world, lazy_world):
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=200), min_size=1,
                 max_size=40))
-def test_derivation_is_order_independent(eager_world, ids):
+def test_derivation_is_order_independent(in_order, ids):
     """Deriving any sample of devices, in any order, with repeats, on a
-    fresh lazy view reproduces the eager build exactly."""
+    fresh lazy view reproduces the in-order view exactly."""
     fresh = LazyTopology(config=make_config())
     for device_id in ids:
         assert device_fingerprint(fresh.devices[device_id]) == \
-            device_fingerprint(eager_world.devices[device_id])
+            in_order[device_id]
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.randoms(use_true_random=False))
-def test_full_shuffled_sweep_matches_eager(eager_world, rng):
+def test_full_shuffled_sweep_matches_eager(in_order, rng):
     fresh = LazyTopology(config=make_config())
-    ids = list(eager_world.devices)
+    ids = list(in_order)
     rng.shuffle(ids)
     for device_id in ids:
         assert device_fingerprint(fresh.devices[device_id]) == \
-            device_fingerprint(eager_world.devices[device_id])
+            in_order[device_id]
 
 
 def test_repeated_derivation_is_stable(lazy_world):
