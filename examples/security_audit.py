@@ -33,8 +33,8 @@ def main() -> None:
     print(f"\nauditing {asys.name} ({asys.region.value}, prefix {asys.ipv4_prefix})")
 
     exposed = [
-        (group, ctx.vendor_of_set(group))
-        for group in ctx.alias_dual.sets
+        (group, verdict)
+        for group, verdict in ctx.device_vendors
         if ctx.as_of_set(group) == target_asn
     ]
     print(f"  devices exposed via SNMPv3: {len(exposed)}")

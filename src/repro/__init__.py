@@ -56,7 +56,6 @@ from repro.pipeline import (
 )
 from repro.scanner import (
     CampaignResult,
-    ExecutorConfig,
     ExecutorMetrics,
     ScanCampaign,
     ScanObservation,
@@ -82,7 +81,6 @@ __all__ = [
     "CampaignResult",
     "EngineId",
     "ExecutionOptions",
-    "ExecutorConfig",
     "ExecutorMetrics",
     "FilterStats",
     "MergedObservation",

@@ -22,8 +22,10 @@ The facade is the *supported* surface: its names are re-exported from
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
+from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from repro.alias.sets import AliasSets
 from repro.alias.snmpv3 import resolve_aliases, resolve_dual_stack
@@ -43,9 +45,10 @@ from repro.topology.model import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.clock import Clock
+    from repro.fingerprint.vendor import VendorInference
     from repro.net.addresses import IPAddress
     from repro.net.ratelimit import RateLimit
-    from repro.scanner.records import ScanResult
+    from repro.scanner.records import ScanObservation, ScanResult
     from repro.service.query import QueryService
     from repro.service.scheduler import JobSpec, ServiceScheduler
 
@@ -80,8 +83,10 @@ class TopologyOptions:
         topology leave ``bindings`` empty — query
         ``session.topology.owner_of`` / ``binding_of`` instead.
     max_resident:
-        Lazy only: cap on concurrently materialized devices (default
-        ``TopologyConfig.stream_max_resident``).  Peak memory scales with
+        Lazy only: cap on concurrently materialized devices, at least
+        :data:`~repro.topology.lazy.MIN_RESIDENT` (512; a smaller cap
+        raises ``ValueError`` when the world is built), default
+        ``TopologyConfig.stream_max_resident``.  Peak memory scales with
         this window, not with the address space; a cap at or above the
         world's device count keeps every derived device resident.
     topology_file:
@@ -107,6 +112,11 @@ class TopologyOptions:
 class Session:
     """A lazily evaluated measurement run at a chosen scale.
 
+    The one front door: ``repro.cli``'s ``scan``/``analyze`` and
+    :class:`~repro.experiments.ExperimentContext` drive a session, which
+    alone turns :class:`TopologyOptions` into a world and alias sets
+    into vendor verdicts.
+
     Parameters
     ----------
     scale:
@@ -119,9 +129,8 @@ class Session:
     options:
         An :class:`~repro.scanner.executor.ExecutionOptions` bundle — the
         one way to shape execution (workers, shard/batch/window geometry,
-        retries, profiling, fault injection, link loss).  Unset fields
-        take engine defaults; execution knobs are never flat keywords
-        here (lint rule API002 enforces this).
+        retries, profiling, fault injection, link loss).  Execution knobs
+        are never flat keywords here (lint rule API002 enforces this).
     reboot_threshold / skip:
         Filter-pipeline knobs (see :class:`FilterPipeline`).
     topology:
@@ -269,15 +278,28 @@ class Session:
             session=self, jobs=jobs, seed=seed, clock=clock, waiter=waiter
         )
 
-    def filter(self) -> "Session":
-        """Run the §4.4 pipeline over both scan pairs."""
-        if not self._pipelines:
-            self.scan()
-            pipeline = FilterPipeline(**self._pipeline_kwargs)
-            for version in (4, 6):
-                self._pipelines[version] = pipeline.run(
-                    *self._campaign.scan_pair(version)
-                )
+    def filter(
+        self,
+        scans: "Mapping[int, tuple[Iterable[ScanObservation], ...]] | None" = None,
+    ) -> "Session":
+        """Run the §4.4 pipeline over both scan pairs.
+
+        ``scans`` (``{4: (scan 1, scan 2), 6: ...}`` observation
+        iterables, e.g. :func:`repro.io.iter_scan_jsonl` readers) filters
+        exported scans instead, streamed so that only the pipeline's own
+        bounded state is resident; the session then never scans.
+        """
+        if self._pipelines:
+            if scans is not None:
+                raise ValueError("this Session has already filtered its scans")
+            return self
+        pipeline = FilterPipeline(**self._pipeline_kwargs)
+        for version in (4, 6):
+            if scans is not None:
+                result = pipeline.run_stream(*scans[version])
+            else:
+                result = pipeline.run(*self.campaign.scan_pair(version))
+            self._pipelines[version] = result
         return self
 
     def aliases(self) -> "Session":
@@ -381,23 +403,26 @@ class Session:
         self.aliases()
         return self._alias["dual"]
 
-    def vendor_census(self) -> "list[tuple[str, int]]":
-        """(vendor, device count) over the alias sets, largest first.
+    @cached_property
+    def record_by_address(self) -> "dict[IPAddress, ValidRecord]":
+        """Both families' filtered records by address (runs filter())."""
+        return {r.address: r for r in self.valid_v4 + self.valid_v6}
 
-        The Figure 11 quantity: one vendor verdict per de-aliased device,
-        inferred from its member engine IDs.
-        """
-        self.aliases()
-        by_address = {
-            r.address: r for r in self.valid_v4 + self.valid_v6
-        }
-        counts: dict[str, int] = {}
-        for group in self.alias_sets.sets:
-            engine_ids = [
-                by_address[a].engine_id for a in group if a in by_address
-            ]
-            verdict = vendor_of_alias_set(engine_ids)
-            counts[verdict.vendor] = counts.get(verdict.vendor, 0) + 1
+    @cached_property
+    def device_vendors(self) -> "list[tuple[frozenset[IPAddress], VendorInference]]":
+        """(alias set, vendor verdict) per de-aliased device, in alias-set
+        order (runs aliases()) — the one place alias sets become vendor
+        verdicts, each inferred from its members' engine IDs."""
+        records = self.record_by_address
+        return [
+            (group, vendor_of_alias_set([records[a].engine_id for a in group if a in records]))
+            for group in self.alias_sets.sets
+        ]
+
+    def vendor_census(self) -> "list[tuple[str, int]]":
+        """(vendor, device count) over :attr:`device_vendors`, largest
+        first, ties by name — the Figure 11 quantity."""
+        counts = Counter(verdict.vendor for __, verdict in self.device_vendors)
         return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
     # -- internals ---------------------------------------------------------

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -45,58 +44,49 @@ DEFAULT_CLOCK: "Clock | None" = None
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
+    from repro.api import ExecutionOptions, Session, TopologyOptions
     from repro.io import ScanJsonlWriter
-    from repro.scanner.campaign import ScanCampaign
-    from repro.scanner.executor import ExecutionOptions, RetryPolicy
-    from repro.topology.config import TopologyConfig
-    from repro.topology.datasets import load_topology_file
-    from repro.topology.generator import build_topology
-    from repro.topology.lazy import LazyTopology
-    from repro.topology.model import Topology
+    from repro.scanner.executor import RetryPolicy
 
+    # Every flag funnels into the session's two options objects, which
+    # validate it before any world is built.
+    session = Session(
+        scale=args.scale,
+        seed=args.seed,
+        options=ExecutionOptions(
+            workers=args.workers,
+            num_shards=args.shards,
+            batch_size=args.batch_size,
+            window=args.window,
+            fault_profile=args.fault_profile,
+            retry=RetryPolicy(
+                max_retries=args.retries,
+                timeout=(
+                    1.0 if args.retries and args.timeout is None
+                    else args.timeout
+                ),
+            ),
+            profile=args.profile,
+            target_window=args.target_window,
+        ),
+        topology=TopologyOptions(
+            lazy=args.lazy,
+            max_resident=args.max_resident,
+            topology_file=args.topology_file,
+        ),
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.topology_file and args.lazy:
-        raise ValueError(
-            "--topology-file loads a fixed topology; it cannot be "
-            "combined with --lazy"
-        )
-    config = TopologyConfig.paper_scale(divisor=args.scale, seed=args.seed)
-    if args.lazy:
-        config = replace(config, layout="streamed")
-    stopwatch = Stopwatch(DEFAULT_CLOCK)
-    topology: "Topology | LazyTopology"
     if args.topology_file:
         print(f"loading topology from {args.topology_file}...")
-        topology = load_topology_file(args.topology_file, seed=args.seed)
     elif args.lazy:
         print(f"lazy simulated Internet (1/{args.scale:g} scale, "
               f"seed {args.seed}): devices derived at probe time...")
-        topology = LazyTopology(config=config, max_resident=args.max_resident)
     else:
         print(f"building simulated Internet (1/{args.scale:g} scale, "
               f"seed {args.seed})...")
-        topology = build_topology(config)
-    retry = None
-    if args.retries or args.timeout is not None:
-        retry = RetryPolicy(
-            max_retries=args.retries,
-            timeout=args.timeout if args.timeout is not None else 1.0,
-        )
-    # Every execution flag funnels into the one blessed options object.
-    options = ExecutionOptions(
-        workers=args.workers,
-        num_shards=args.shards,
-        batch_size=args.batch_size,
-        window=args.window,
-        fault_profile=args.fault_profile,
-        retry=retry,
-        profile=args.profile,
-        target_window=args.target_window,
-    )
-    campaign = ScanCampaign(topology=topology, config=config, options=options)
+    stopwatch = Stopwatch(DEFAULT_CLOCK)
+    streams = session.stream_scans()  # builds the world
     store = None
     round_id = None
     if args.store:
@@ -112,7 +102,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     # Streaming export: observation batches go straight from the executor
     # to disk (and into the store when one is attached), so even a
     # full-scale campaign is never materialized.
-    for stream in campaign.run_streaming():
+    for stream in streams:
         path = out / f"scan-{stream.label}.jsonl"
         with ScanJsonlWriter(
             path,
@@ -143,15 +133,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.alias.snmpv3 import resolve_dual_stack
-    from repro.fingerprint.vendor import vendor_of_alias_set
+    from repro.api import Session
     from repro.io import (
         export_alias_sets_csv,
         export_alias_sets_jsonl,
         export_vendor_census_csv,
         iter_scan_jsonl,
     )
-    from repro.pipeline.filters import FilterPipeline
 
     run_dir = Path(args.run_dir)
     paths = {}
@@ -162,33 +150,30 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             return 2
         paths[label] = path
 
-    # Stream each scan pair off disk through the pipeline; only the
-    # pipeline's own bounded state is ever resident.
-    pipeline = FilterPipeline(reboot_threshold=args.threshold)
-    result_v4 = pipeline.run_stream(
-        iter_scan_jsonl(paths["v4-1"]), iter_scan_jsonl(paths["v4-2"])
-    )
-    result_v6 = pipeline.run_stream(
-        iter_scan_jsonl(paths["v6-1"]), iter_scan_jsonl(paths["v6-2"])
-    )
-    print(f"valid records: {len(result_v4.valid)} IPv4, {len(result_v6.valid)} IPv6")
-    for name, count in result_v4.stats.removed.items():
+    # Stream each scan pair off disk through the session's pipeline; only
+    # the pipeline's own bounded state is ever resident.
+    session = Session(reboot_threshold=args.threshold).filter({
+        version: (
+            iter_scan_jsonl(paths[f"v{version}-1"]),
+            iter_scan_jsonl(paths[f"v{version}-2"]),
+        )
+        for version in (4, 6)
+    })
+    print(f"valid records: {len(session.valid_v4)} IPv4, "
+          f"{len(session.valid_v6)} IPv6")
+    for name, count in session.pipeline(4).stats.removed.items():
         if count:
             print(f"  filter {name}: removed {count} (IPv4)")
 
-    dual = resolve_dual_stack(result_v4.valid, result_v6.valid)
+    dual = session.alias_sets
     print(f"alias sets: {dual.count} devices, "
           f"{dual.non_singleton_count} with multiple addresses")
     export_alias_sets_jsonl(dual, run_dir / "alias-sets.jsonl")
     export_alias_sets_csv(dual, run_dir / "alias-sets.csv")
 
-    records = {r.address: r for r in result_v4.valid + result_v6.valid}
-    census = Counter()
-    for group in dual.sets:
-        engine_ids = [records[a].engine_id for a in group if a in records]
-        census[vendor_of_alias_set(engine_ids).vendor] += 1
-    export_vendor_census_csv(census.most_common(), run_dir / "vendor-census.csv")
-    print("top vendors: " + ", ".join(f"{v} {c}" for v, c in census.most_common(5)))
+    census = session.vendor_census()
+    export_vendor_census_csv(census, run_dir / "vendor-census.csv")
+    print("top vendors: " + ", ".join(f"{v} {c}" for v, c in census[:5]))
     print(f"artifacts written to {run_dir}/")
     return 0
 
@@ -492,42 +477,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    from repro.net.faults import FAULT_PROFILES
+    from repro.pipeline.filters import DEFAULT_REBOOT_THRESHOLD
+    from repro.scanner.executor import ExecutionOptions
+    from repro.topology.lazy import MIN_RESIDENT
+
+    defaults = ExecutionOptions()
     scan = sub.add_parser("scan", help="run the four-scan campaign, export JSONL")
     scan.add_argument("--scale", type=float, default=300.0)
     scan.add_argument("--seed", type=int, default=2021)
     scan.add_argument("--out", default="runs/latest")
-    scan.add_argument("--workers", type=int, default=None,
-                      help="worker processes for the sharded engine (default 1)")
-    scan.add_argument("--shards", type=int, default=None,
-                      help="shard count (default 16; results are "
+    scan.add_argument("--workers", type=int, default=defaults.workers,
+                      help="worker processes for the sharded engine "
+                           "(default %(default)s)")
+    scan.add_argument("--shards", type=int, default=defaults.num_shards,
+                      help="shard count (default %(default)s; results are "
                            "worker-count independent at a fixed shard count)")
-    scan.add_argument("--batch-size", type=int, default=None,
-                      help="observations per streamed batch (default 2048)")
-    scan.add_argument("--window", type=int, default=None,
+    scan.add_argument("--batch-size", type=int, default=defaults.batch_size,
+                      help="observations per streamed batch "
+                           "(default %(default)s)")
+    scan.add_argument("--window", type=int, default=defaults.window,
                       help="probes in flight per pipeline stage "
-                           "(default 512; results are window-invariant)")
+                           "(default %(default)s; results are "
+                           "window-invariant)")
     scan.add_argument("--lazy", action="store_true",
                       help="use the streamed layout, which derives every "
                            "device from (seed, address) alone, and derive "
                            "devices on demand during the scan instead of "
                            "materializing the topology (constant memory)")
     scan.add_argument("--max-resident", type=int, default=None,
-                      help="with --lazy: cap on concurrently derived "
-                           "devices (default 4096)")
+                      help="with --lazy only: cap on concurrently derived "
+                           f"devices, at least {MIN_RESIDENT} (default "
+                           "TopologyConfig.stream_max_resident)")
     scan.add_argument("--topology-file", default=None,
                       help="load the topology from an ITDK-style "
                            "description file instead of generating one")
-    scan.add_argument("--target-window", type=int, default=None,
+    scan.add_argument("--target-window", type=int,
+                      default=defaults.target_window,
                       help="targets planned per streaming window "
-                           "(default 65536; like --shards, part of the "
-                           "deterministic result geometry)")
-    from repro.net.faults import FAULT_PROFILES
-    scan.add_argument("--fault-profile", default=None,
+                           "(default %(default)s; like --shards, part of "
+                           "the deterministic result geometry)")
+    scan.add_argument("--fault-profile", default=defaults.fault_profile,
                       choices=sorted(FAULT_PROFILES),
                       help="inject wire faults from a stock profile "
                            "(deterministic per seed)")
-    scan.add_argument("--retries", type=int, default=0,
-                      help="extra probes per unanswered target (default 0)")
+    scan.add_argument("--retries", type=int,
+                      default=defaults.retry.max_retries,
+                      help="extra probes per unanswered target "
+                           "(default %(default)s)")
     scan.add_argument("--timeout", type=float, default=None,
                       help="per-probe reply deadline in virtual seconds "
                            "(default 1.0 when --retries is set)")
@@ -547,8 +544,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="filter + alias + census from exports")
     analyze.add_argument("run_dir")
-    analyze.add_argument("--threshold", type=float, default=10.0,
-                         help="last-reboot consistency threshold in seconds")
+    analyze.add_argument("--threshold", type=float,
+                         default=DEFAULT_REBOOT_THRESHOLD,
+                         help="last-reboot consistency threshold in seconds "
+                              "(default %(default)s)")
     analyze.set_defaults(func=_cmd_analyze)
 
     report = sub.add_parser("report", help="full table/figure reproduction")

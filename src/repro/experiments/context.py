@@ -1,94 +1,132 @@
-"""The shared experiment context.
+"""The shared experiment context: the figure layer over one Session.
 
-Builds the simulated Internet, runs the four scan campaigns, the
-filtering pipeline, alias resolution (single-family and dual-stack), and
-vendor fingerprinting — once.  Every table/figure module projects from
-the cached results, mirroring how the paper derives all of its evaluation
-from the same two scan pairs.
+A :class:`~repro.api.Session` builds the simulated Internet and runs the
+four scan campaigns, the filtering pipeline, alias resolution
+(single-family and dual-stack) and vendor fingerprinting — once.  Every
+table/figure module projects from those cached results through this
+context, mirroring how the paper derives all of its evaluation from the
+same two scan pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import cast
 
 from repro.alias.sets import AliasSets
-from repro.alias.snmpv3 import resolve_aliases, resolve_dual_stack
-from repro.fingerprint.vendor import VendorInference, vendor_of_alias_set
+from repro.api import Session, TopologyOptions
+from repro.fingerprint.vendor import VendorInference
 from repro.net.addresses import IPAddress
-from repro.pipeline.filters import FilterPipeline, PipelineResult
+from repro.pipeline.filters import PipelineResult
 from repro.pipeline.records import MergedObservation, ValidRecord
-from repro.scanner.campaign import CampaignResult, ScanCampaign
+from repro.scanner.campaign import CampaignResult
 from repro.topology.config import TopologyConfig
 from repro.topology.datasets import RdnsZone, RouterDatasets, build_rdns_zone
-from repro.topology.generator import build_topology
 from repro.topology.model import Topology
 
 
 @dataclass
 class ExperimentContext:
-    """Everything the evaluation sections consume."""
+    """Everything the evaluation sections consume, over one ``session``.
 
-    config: TopologyConfig
-    topology: Topology
-    campaign: CampaignResult
-    pipeline_v4: PipelineResult
-    pipeline_v6: PipelineResult
+    The figures need a materialized world (ground-truth lookups, router
+    datasets), so a session whose config is streamed is rejected.  A
+    custom filter pipeline is the session's own ``reboot_threshold`` /
+    ``skip``: ``ExperimentContext(Session(config=..., skip={...}))``.
+    """
+
+    session: Session
+
+    def __post_init__(self) -> None:
+        if self.session.config.layout == "streamed":
+            raise ValueError(
+                "ExperimentContext needs a materialized topology; a "
+                "streamed config only builds a LazyTopology"
+            )
 
     @classmethod
     def create(
         cls,
         config: "TopologyConfig | None" = None,
-        pipeline: "FilterPipeline | None" = None,
         topology_file: "str | None" = None,
     ) -> "ExperimentContext":
-        """Run the full measurement pipeline.
+        """A context over a fresh :class:`~repro.api.Session` of ``config``.
 
         ``topology_file`` runs the whole evaluation over a world loaded
         from an ITDK-style topology description instead of a generated
         one (the ``report``/``publish`` ``--topology-file`` flag) — the
-        scheduled-rescan path for file-defined populations.
+        scheduled-rescan path for file-defined populations.  Each stage
+        runs when a figure first needs it.
         """
-        config = config or TopologyConfig.paper_scale()
-        if topology_file is not None:
-            from repro.topology.datasets import load_topology_file
-
-            topology = load_topology_file(topology_file, seed=config.seed)
-        else:
-            topology = build_topology(config)
-        campaign = ScanCampaign(topology=topology, config=config).run()
-        pipeline = pipeline or FilterPipeline()
-        pipeline_v4 = pipeline.run(*campaign.scan_pair(4))
-        pipeline_v6 = pipeline.run(*campaign.scan_pair(6))
         return cls(
-            config=config,
-            topology=topology,
-            campaign=campaign,
-            pipeline_v4=pipeline_v4,
-            pipeline_v6=pipeline_v6,
+            Session(
+                config=config or TopologyConfig.paper_scale(),
+                topology=TopologyOptions(topology_file=topology_file),
+            )
         )
 
-    # -- convenience views ----------------------------------------------------
+    # -- the session's results ------------------------------------------------
+
+    @property
+    def config(self) -> TopologyConfig:
+        return self.session.config
+
+    @property
+    def topology(self) -> Topology:
+        return cast(Topology, self.session.topology)
+
+    @property
+    def campaign(self) -> CampaignResult:
+        return self.session.campaign
 
     @property
     def datasets(self) -> RouterDatasets:
         return self.campaign.datasets
 
+    @property
+    def pipeline_v4(self) -> PipelineResult:
+        return self.session.pipeline(4)
+
+    @property
+    def pipeline_v6(self) -> PipelineResult:
+        return self.session.pipeline(6)
+
+    @property
+    def valid_v4(self) -> list[ValidRecord]:
+        return self.session.valid_v4
+
+    @property
+    def valid_v6(self) -> list[ValidRecord]:
+        return self.session.valid_v6
+
+    @property
+    def record_by_address(self) -> dict[IPAddress, ValidRecord]:
+        return self.session.record_by_address
+
+    @property
+    def alias_v4(self) -> AliasSets:
+        return self.session.alias_v4
+
+    @property
+    def alias_v6(self) -> AliasSets:
+        return self.session.alias_v6
+
+    @property
+    def alias_dual(self) -> AliasSets:
+        """The final joint alias sets (§5.1) — 'devices' in §6's terms."""
+        return self.session.alias_sets
+
+    @property
+    def device_vendors(self) -> list[tuple[frozenset, VendorInference]]:
+        """(alias set, vendor) for every de-aliased device (Figure 11)."""
+        return self.session.device_vendors
+
+    # -- figure-layer views ----------------------------------------------------
+
     @cached_property
     def rdns_zone(self) -> RdnsZone:
         return build_rdns_zone(self.topology, self.config)
-
-    @cached_property
-    def valid_v4(self) -> list[ValidRecord]:
-        return self.pipeline_v4.valid
-
-    @cached_property
-    def valid_v6(self) -> list[ValidRecord]:
-        return self.pipeline_v6.valid
-
-    @cached_property
-    def record_by_address(self) -> dict[IPAddress, ValidRecord]:
-        return {r.address: r for r in self.valid_v4 + self.valid_v6}
 
     @cached_property
     def merged_v4(self) -> list[MergedObservation]:
@@ -103,21 +141,6 @@ class ExperimentContext:
         from repro.pipeline.records import merge_scan_pair
 
         return merge_scan_pair(*self.campaign.scan_pair(6))[0]
-
-    # -- alias resolution --------------------------------------------------------
-
-    @cached_property
-    def alias_v4(self) -> AliasSets:
-        return resolve_aliases(self.valid_v4)
-
-    @cached_property
-    def alias_v6(self) -> AliasSets:
-        return resolve_aliases(self.valid_v6)
-
-    @cached_property
-    def alias_dual(self) -> AliasSets:
-        """The final joint alias sets (§5.1) — 'devices' in §6's terms."""
-        return resolve_dual_stack(self.valid_v4, self.valid_v6)
 
     # -- router tagging -------------------------------------------------------------
 
@@ -140,25 +163,10 @@ class ExperimentContext:
         responsive = set(scan1.observations) | set(scan2.observations)
         return responsive & set(self.datasets.union_v4)
 
-    # -- fingerprinting ---------------------------------------------------------------
-
-    def vendor_of_set(self, group: "frozenset[IPAddress]") -> VendorInference:
-        engine_ids = [
-            self.record_by_address[a].engine_id
-            for a in group
-            if a in self.record_by_address
-        ]
-        return vendor_of_alias_set(engine_ids)
-
-    @cached_property
-    def device_vendors(self) -> list[tuple[frozenset, VendorInference]]:
-        """(alias set, vendor) for every de-aliased device (Figure 11)."""
-        return [(g, self.vendor_of_set(g)) for g in self.alias_dual.sets]
-
     @cached_property
     def router_vendors(self) -> list[tuple[frozenset, VendorInference]]:
         """(alias set, vendor) for router alias sets (Figure 12)."""
-        return [(g, self.vendor_of_set(g)) for g in self.router_sets.sets]
+        return [(g, v) for g, v in self.device_vendors if self.is_router_set(g)]
 
     # -- per-AS views --------------------------------------------------------------------
 

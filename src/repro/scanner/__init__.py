@@ -19,7 +19,6 @@ from repro.scanner.records import ScanObservation, ScanResult
 from repro.scanner.zmap import ZmapConfig, ZmapScanner
 from repro.scanner.executor import (
     ExecutionOptions,
-    ExecutorConfig,
     RetryPolicy,
     ScanExecution,
     ShardedScanExecutor,
@@ -30,7 +29,6 @@ from repro.scanner.campaign import CampaignResult, ScanCampaign, ScanStream
 __all__ = [
     "CampaignResult",
     "ExecutionOptions",
-    "ExecutorConfig",
     "ExecutorMetrics",
     "RetryPolicy",
     "ScanCampaign",

@@ -184,8 +184,7 @@ class ScanCampaign:
 
     Execution shape (workers, shard geometry, retries, fault injection,
     link loss) comes from one
-    :class:`~repro.scanner.executor.ExecutionOptions`; unset fields take
-    the engine defaults.
+    :class:`~repro.scanner.executor.ExecutionOptions`.
     """
 
     def __init__(
@@ -209,18 +208,13 @@ class ScanCampaign:
         self._fabric = NetworkFabric(
             seed=topology.seed ^ 0xFAB,
             default_profile=LinkProfile(
-                loss_probability=(
-                    0.02
-                    if options.loss_probability is None
-                    else options.loss_probability
-                ),
+                loss_probability=options.loss_probability,
                 base_latency=0.08,
                 jitter=0.04,
             ),
         )
         if options.fault_profile is not None:
             self._fabric.set_fault_profile(options.fault_profile)
-        self._executor_config = options.executor_config(topology.seed)
         # address -> device id, the campaign's live view (mutated by churn).
         self._binding: dict[IPAddress, int] = {}
         # Ground truth overlaid with the live binding, kept in sync at the
@@ -403,7 +397,8 @@ class ScanCampaign:
             fabric=self._fabric,
             devices=self.topology.devices,
             owner_of=owner_of,
-            config=self._executor_config,
+            options=self.options,
+            seed=self.topology.seed,
             owner_of_batch=owner_of_batch,
             # Lazy worlds fast-reject closed devices at the fabric, so
             # their agents keep virgin state through every shard —

@@ -81,8 +81,8 @@ SOURCE_PORT = 39321
 #: Root of every scan's target shuffle, mixed with the scan label.
 SHUFFLE_SEED = 0xC0FFEE
 
-#: Default targets per planning window when streaming (``execute_stream``
-#: with ``target_window=0``).  Large enough that per-window shard-plan
+#: Default targets per planning window when streaming
+#: (``execute_stream``).  Large enough that per-window shard-plan
 #: and pool-setup costs amortize, small enough that a lazy topology's
 #: resident device set stays a tiny fraction of the world.
 DEFAULT_TARGET_WINDOW = 65536
@@ -142,39 +142,44 @@ class RetryPolicy:
 
 
 @dataclass(frozen=True)
-class ExecutorConfig:
-    """Execution-shape parameters of the sharded engine.
+class ExecutionOptions:
+    """The one execution-knob bundle, from the facade to the executor.
+
+    Every way to shape *how* a campaign executes — worker processes,
+    shard/batch/window geometry, retries, stage profiling, fault
+    injection and link loss — without touching *what* it measures.
+    :class:`~repro.api.Session`, ``run_campaign``,
+    :class:`~repro.scanner.campaign.ScanCampaign`,
+    :class:`ShardedScanExecutor` and the CLI (whose flag defaults are
+    these fields') take this object, never flat keywords (API002).
 
     ``workers`` counts OS processes: ``0``/``1`` runs all shards inline
-    (the serial fallback, also used where ``fork`` is unavailable).
-    ``seed`` is the determinism root — campaigns pass ``topology.seed``.
-    ``retry`` is the per-probe fault-tolerance policy; the default policy
-    (no retries, no timeout) sends exactly one probe per target, as the
+    (the serial fallback, also used where ``fork`` is unavailable).  The
+    default ``retry`` policy sends exactly one probe per target, as the
     paper's scanner does.  ``workers``, ``window`` and ``batch_size``
     shape execution only: the golden rows of
     ``tests/scanner/test_pipeline_identity.py`` that vary them must
-    reproduce the chaos row's digest.
+    reproduce the chaos row's digest.  ``num_shards`` and
+    ``target_window`` are part of the deterministic result geometry.
     """
 
     workers: int = 1
     num_shards: int = DEFAULT_NUM_SHARDS
     batch_size: int = DEFAULT_BATCH_SIZE
-    seed: int = 0
+    #: In-flight probes per pipeline stage pass.
+    window: int = DEFAULT_WINDOW
     retry: RetryPolicy = RetryPolicy()
     #: Collect per-stage timings (encode / fabric / agent / decode) into
     #: the shard metrics.  Off by default: the timers cost real time in
     #: the probe hot loop.  Never affects scan *results*.
     profile: bool = False
-    #: In-flight probes per pipeline stage pass.
-    window: int = DEFAULT_WINDOW
+    fault_profile: "FaultProfile | str | None" = None
+    #: Per-link probe/reply loss of the campaign fabric.
+    loss_probability: float = 0.02
     #: Targets per planning window on the streaming path
-    #: (:meth:`ShardedScanExecutor.execute_stream`); ``0`` selects
-    #: :data:`DEFAULT_TARGET_WINDOW`.  Never affects ``execute()``.
-    #: Like ``num_shards``, the window size is part of the deterministic
-    #: result geometry — each window is shard-planned independently, so
-    #: runs are reproducible (and lazy/eager-identical) at a fixed window
-    #: size but differ across window sizes.
-    target_window: int = 0
+    #: (:meth:`ShardedScanExecutor.execute_stream`, which lazy-world
+    #: campaigns use); never affects ``execute()``.
+    target_window: int = DEFAULT_TARGET_WINDOW
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -185,58 +190,10 @@ class ExecutorConfig:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.target_window < 0:
+        if self.target_window < 1:
             raise ValueError(
-                f"target_window must be >= 0, got {self.target_window}"
+                f"target_window must be >= 1, got {self.target_window}"
             )
-
-
-@dataclass(frozen=True)
-class ExecutionOptions:
-    """The blessed execution-knob bundle of the public facade.
-
-    One frozen object carrying every way a caller can shape *how* a
-    campaign executes — worker processes, shard/batch/window geometry,
-    retry policy, stage profiling and the fabric's fault injection —
-    without touching *what* it measures.  Every combination runs the one
-    probe loop, the staged pipeline.  ``None`` means "engine default".
-    :class:`~repro.api.Session`, ``run_campaign``,
-    :class:`~repro.scanner.campaign.ScanCampaign` and the CLI accept this
-    object and no flat execution keywords (API002 keeps them from growing
-    back on the facade).
-
-    ``fault_profile`` and ``loss_probability`` ride along because the
-    facade has always treated them as execution shape: they select what
-    the simulated Internet does to probes, not which devices exist.
-    """
-
-    workers: "int | None" = None
-    num_shards: "int | None" = None
-    batch_size: "int | None" = None
-    window: "int | None" = None
-    retry: "RetryPolicy | None" = None
-    profile: bool = False
-    fault_profile: "FaultProfile | str | None" = None
-    loss_probability: "float | None" = None
-    #: Targets per streaming planning window (streamed-layout campaigns).
-    target_window: "int | None" = None
-
-    def executor_config(self, seed: int) -> ExecutorConfig:
-        """Materialize an :class:`ExecutorConfig`, defaulting unset fields."""
-        return ExecutorConfig(
-            workers=1 if self.workers is None else self.workers,
-            num_shards=(
-                DEFAULT_NUM_SHARDS if self.num_shards is None else self.num_shards
-            ),
-            batch_size=(
-                DEFAULT_BATCH_SIZE if self.batch_size is None else self.batch_size
-            ),
-            seed=seed,
-            retry=self.retry if self.retry is not None else RetryPolicy(),
-            profile=self.profile,
-            window=DEFAULT_WINDOW if self.window is None else self.window,
-            target_window=0 if self.target_window is None else self.target_window,
-        )
 
 
 @dataclass(frozen=True)
@@ -487,7 +444,7 @@ class ScanExecution:
             label=params.label,
             workers=self._executor.effective_workers,
             num_shards=len(plan),
-            batch_size=self._executor.config.batch_size,
+            batch_size=self._executor.options.batch_size,
         )
 
     def batches(self) -> Iterator[list[ScanObservation]]:
@@ -529,12 +486,10 @@ class StreamingScanExecution:
         executor: "ShardedScanExecutor",
         targets: "Iterable[IPAddress]",
         params: _ScanParams,
-        target_window: int,
     ) -> None:
         self._executor = executor
         self._targets = targets
         self._params = params
-        self._target_window = target_window
         self._consumed = False
         self.label = params.label
         self.ip_version = params.ip_version
@@ -544,8 +499,8 @@ class StreamingScanExecution:
         self.metrics = ExecutorMetrics(
             label=params.label,
             workers=executor.effective_workers,
-            num_shards=executor.config.num_shards,
-            batch_size=executor.config.batch_size,
+            num_shards=executor.options.num_shards,
+            batch_size=executor.options.batch_size,
         )
 
     def batches(self) -> Iterator[list[ScanObservation]]:
@@ -568,7 +523,7 @@ class StreamingScanExecution:
         target_iter = iter(self._targets)
         try:
             while True:
-                chunk = list(islice(target_iter, self._target_window))
+                chunk = list(islice(target_iter, executor.options.target_window))
                 if not chunk:
                     break
                 plan_started = time.perf_counter()
@@ -583,8 +538,8 @@ class StreamingScanExecution:
                 plan = plan_shards(
                     chunk,
                     label=f"{params.label}@{window_index}",
-                    num_shards=executor.config.num_shards,
-                    seed=executor.config.seed,
+                    num_shards=executor.options.num_shards,
+                    seed=executor.seed,
                     shuffle_seed=SHUFFLE_SEED,
                     owner_of=executor._owner_of,
                     base_index=base_index,
@@ -671,7 +626,9 @@ class ShardedScanExecutor:
     ``fabric`` — but needs the live ``owner_of`` view (address → device
     id) to co-locate each device's addresses in one shard, and the
     ``devices`` registry to snapshot/restore agent session state around
-    shard execution.  Both come from the campaign.
+    shard execution.  Both come from the campaign, as does ``seed``, the
+    determinism root of every shard plan (campaigns pass
+    ``topology.seed``); ``options`` shapes execution.
     """
 
     def __init__(
@@ -680,7 +637,8 @@ class ShardedScanExecutor:
         fabric: NetworkFabric,
         devices: "Mapping[int, Device]",
         owner_of: "Callable[[IPAddress], int | None] | None" = None,
-        config: "ExecutorConfig | None" = None,
+        options: "ExecutionOptions | None" = None,
+        seed: int = 0,
         owner_of_batch: "Callable[[list[IPAddress]], list[int | None]] | None" = None,
         snapshot_filter: "Callable[[tuple[int, ...]], list[int]] | None" = None,
     ) -> None:
@@ -701,16 +659,17 @@ class ShardedScanExecutor:
         # shard.  Byte-identity holds as long as the filter only drops
         # devices that cannot answer.
         self._snapshot_filter = snapshot_filter
-        self.config = config or ExecutorConfig()
+        self.options = options or ExecutionOptions()
+        self.seed = seed
 
     @property
     def effective_workers(self) -> int:
         """Worker processes actually used (serial fallback collapses to 1)."""
-        if self.config.workers <= 1:
+        if self.options.workers <= 1:
             return 1
         if "fork" not in multiprocessing.get_all_start_methods():
             return 1
-        return self.config.workers
+        return self.options.workers
 
     # -- public ------------------------------------------------------------
 
@@ -734,8 +693,8 @@ class ShardedScanExecutor:
         plan = plan_shards(
             targets,
             label=label,
-            num_shards=self.config.num_shards,
-            seed=self.config.seed,
+            num_shards=self.options.num_shards,
+            seed=self.seed,
             shuffle_seed=SHUFFLE_SEED,
             owner_of=self._owner_of,
             owners=(
@@ -760,7 +719,7 @@ class ShardedScanExecutor:
         """Plan-as-you-go scan over a target *iterator* (constant memory).
 
         Unlike :meth:`execute`, targets are never materialized as one
-        list: they are pulled in ``config.target_window``-sized windows,
+        list: they are pulled in ``options.target_window``-sized windows,
         each planned and probed before the next is read.  Probe
         ``msg_id``/send-slot assignment follows the target stream's
         global order, so the output for a given target sequence is
@@ -768,8 +727,7 @@ class ShardedScanExecutor:
         is planned as its own permutation, like a sequence of scans).
         """
         params = _scan_params(label, ip_version, start_time, rate_pps)
-        window = self.config.target_window or DEFAULT_TARGET_WINDOW
-        return StreamingScanExecution(self, targets, params, window)
+        return StreamingScanExecution(self, targets, params)
 
     def scan(
         self,
@@ -819,7 +777,7 @@ class ShardedScanExecutor:
         probes.  The workers are reaped when the plan ends or its
         stream is closed.
         """
-        batch_size = self.config.batch_size
+        batch_size = self.options.batch_size
         if self.effective_workers <= 1:
             for spec in plan:
                 batches, shard = self.stream_shard(spec, params, batch_size)
@@ -889,8 +847,8 @@ class ShardedScanExecutor:
         stats, wall time, stage timings) on exhaustion.
         """
         shard_started = time.perf_counter()
-        config = self.config
-        profile = config.profile
+        options = self.options
+        profile = options.profile
         timer = HandlerTimer() if profile else None
         view = self._fabric.shard_view(spec.seed, timer)
         device_ids: "Iterable[int]" = spec.device_ids
@@ -903,7 +861,7 @@ class ShardedScanExecutor:
         yielded = 0
         timings = StageTimings()
         produce = probe_targets_pipelined(
-            view, spec, params, config.retry, config.window,
+            view, spec, params, options.retry, options.window,
             self._owner_of, shard, timings, profile,
         )
         try:
@@ -941,7 +899,6 @@ __all__ = [
     "DEFAULT_TARGET_WINDOW",
     "DEFAULT_WINDOW",
     "ExecutionOptions",
-    "ExecutorConfig",
     "RetryPolicy",
     "ScanExecution",
     "ShardSpec",

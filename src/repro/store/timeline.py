@@ -33,11 +33,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from repro.net.addresses import IPAddress
+from repro.pipeline.filters import DEFAULT_REBOOT_THRESHOLD
 from repro.scanner.wire import ObservationColumns
-
-#: Forward jump of the derived last-reboot time that counts as a reboot;
-#: mirrors the filtering pipeline's 10-second consistency threshold.
-DEFAULT_REBOOT_THRESHOLD = 10.0
 
 KIND_BOOTS_INCREMENT = "boots-increment"
 KIND_TIME_REGRESSION = "engine-time-regression"

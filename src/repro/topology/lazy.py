@@ -67,6 +67,7 @@ from repro.topology.model import (
 
 __all__ = [
     "CHURN_PROBABILITY",
+    "MIN_RESIDENT",
     "AsPlan",
     "DeviceSlot",
     "LazyTopology",
@@ -874,6 +875,9 @@ class _SweepCache:
         self.put(key, value)
 
 
+#: Smallest residency cap a :class:`LazyTopology` accepts.
+MIN_RESIDENT = 512
+
 #: Worlds with at most this many slots store packed memberships in a
 #: flat slot-indexed list (full coverage, no per-entry dict overhead);
 #: larger worlds fall back to the sweep-aware LRU.
@@ -949,6 +953,11 @@ class LazyTopology:
                 "LazyTopology requires TopologyConfig(layout='streamed'); "
                 f"got layout={config.layout!r}"
             )
+        resident = max_resident if max_resident is not None else config.stream_max_resident
+        if resident < MIN_RESIDENT:
+            raise ValueError(
+                f"max_resident must be at least {MIN_RESIDENT}, got {resident}"
+            )
         self.config = config
         self.registry = registry or default_registry()
         self.plan = StreamPlan(config=config)
@@ -957,8 +966,7 @@ class LazyTopology:
         self.shared = derive_shared_populations(config)
         self.ases = build_as_objects(self.plan)
         self.devices: Mapping[int, Device] = _LazyDeviceMap(self)
-        resident = max_resident if max_resident is not None else config.stream_max_resident
-        self._max_resident = max(resident, 512)
+        self._max_resident = resident
         self._canonical: "weakref.WeakValueDictionary[tuple[int, int], Device]" = (
             weakref.WeakValueDictionary()
         )

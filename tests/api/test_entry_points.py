@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ExecutionOptions, Session
+from repro.api import ExecutionOptions, Session, TopologyOptions
 from repro.cli import main as cli_main
 from repro.experiments import ExperimentContext
 from repro.io import load_scan_jsonl
 from repro.scanner.campaign import SCAN_LABELS
 from repro.topology.config import TopologyConfig
+from repro.topology.datasets import dump_topology_file
 
 SCALE = 1000
 SEEDS = (7, 2021)
@@ -101,3 +102,28 @@ def test_entry_point_matches_session_scan(entry, seed, reference, tmp_path):
             f"differ from Session.scan()'s {len(want[label])} observations, "
             f"e.g. {differing[:3]}"
         )
+
+
+def test_topology_file_entry_points_agree(tmp_path):
+    """A world loaded from a topology file scans the same through the
+    CLI, a ``Session`` and an ``ExperimentContext``."""
+    seed = SEEDS[0]
+    path = tmp_path / "topology.txt"
+    dump_topology_file(Session(scale=SCALE, seed=seed).topology, str(path))
+
+    session = Session(
+        scale=SCALE, seed=seed, topology=TopologyOptions(topology_file=path)
+    )
+    want = observations(session.scan().campaign.scans)
+    config = TopologyConfig.paper_scale(divisor=SCALE, seed=seed)
+    context = ExperimentContext.create(config, topology_file=str(path))
+    via_context = observations(context.campaign.scans)
+    assert session.topology.layout == context.topology.layout == "file"
+    out_dir = tmp_path / "run"
+    assert cli_main(["scan", "--scale", str(SCALE), "--seed", str(seed),
+                     "--topology-file", str(path), "--out", str(out_dir)]) == 0
+    for label in SCAN_LABELS:
+        assert want[label], label
+        assert via_context[label] == want[label], label
+        got = load_scan_jsonl(out_dir / f"scan-{label}.jsonl").observations
+        assert got == want[label], label

@@ -20,7 +20,9 @@ from repro.scanner.campaign import ScanCampaign
 from repro.scanner.executor import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_NUM_SHARDS,
+    DEFAULT_TARGET_WINDOW,
     DEFAULT_WINDOW,
+    RetryPolicy,
 )
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import TopologyGenerator
@@ -72,13 +74,26 @@ def test_campaign_rejects_mixed_styles_too():
         )
 
 
-def test_executor_config_fills_documented_defaults():
-    config = ExecutionOptions(workers=2).executor_config(seed=123)
-    assert config.workers == 2
-    assert config.num_shards == DEFAULT_NUM_SHARDS
-    assert config.batch_size == DEFAULT_BATCH_SIZE
-    assert config.window == DEFAULT_WINDOW
-    assert config.seed == 123
+def test_options_carry_documented_defaults():
+    options = ExecutionOptions(workers=2)
+    assert options.workers == 2
+    assert options.num_shards == DEFAULT_NUM_SHARDS
+    assert options.batch_size == DEFAULT_BATCH_SIZE
+    assert options.window == DEFAULT_WINDOW
+    assert options.target_window == DEFAULT_TARGET_WINDOW
+    assert options.retry == RetryPolicy()
+    assert options.fault_profile is None
+    assert options.loss_probability == 0.02
+
+
+def test_campaign_executor_takes_the_options_and_the_topology_seed():
+    topology = TopologyGenerator(
+        config=TopologyConfig(seed=9, scale_divisor=SCALE)
+    ).build()
+    options = ExecutionOptions(workers=2)
+    executor = ScanCampaign(topology=topology, options=options)._make_executor()
+    assert executor.options is options
+    assert executor.seed == topology.seed == 9
 
 
 def test_run_campaign_accepts_a_per_round_override():

@@ -51,6 +51,20 @@ class TestResults:
         counts = [count for __, count in census]
         assert counts == sorted(counts, reverse=True)
 
+    def test_filtering_exported_scans_gives_the_same_devices(self, session):
+        """``filter(scans)`` — what ``analyze`` runs over JSONL exports —
+        agrees with the session's own chain without ever scanning."""
+        exported = Session(scale=1000, seed=21)
+        pairs = {v: session.campaign.scan_pair(v) for v in (4, 6)}
+        assert exported.filter(pairs) is exported
+        assert exported._campaign is None
+        for version in (4, 6):
+            assert sorted(r.address for r in exported.pipeline(version).valid) == \
+                sorted(r.address for r in session.pipeline(version).valid)
+        assert exported.vendor_census() == session.vendor_census()
+        with pytest.raises(ValueError, match="already filtered"):
+            exported.filter(pairs)
+
     def test_executor_metrics_exposed(self, session):
         assert set(session.metrics) == set(session.campaign.scans)
         for metrics in session.metrics.values():
@@ -83,7 +97,7 @@ class TestTopLevelExports:
         for name in (
             "Session", "ScanObservation", "ScanResult", "CampaignResult",
             "ScanStream", "ValidRecord", "MergedObservation", "PipelineResult",
-            "ShardedScanExecutor", "ExecutorConfig", "ExecutorMetrics",
+            "ShardedScanExecutor", "ExecutionOptions", "ExecutorMetrics",
             "FilterStats",
         ):
             assert name in repro.__all__

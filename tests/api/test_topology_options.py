@@ -18,6 +18,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_resident"):
             TopologyOptions(max_resident=1024)
 
+    @pytest.mark.parametrize("max_resident", [0, 511])
+    def test_max_resident_below_the_floor_is_rejected(self, max_resident):
+        config = TopologyConfig.streamed(divisor=4000, seed=3)
+        with pytest.raises(ValueError, match="at least 512"):
+            LazyTopology(config=config, max_resident=max_resident)
+        session = Session(
+            config=config,
+            topology=TopologyOptions(lazy=True, max_resident=max_resident),
+        )
+        with pytest.raises(ValueError, match="at least 512"):
+            session.topology
+
 
 class TestSessionDispatch:
     def test_default_builds_sequential_eagerly(self):

@@ -1,6 +1,8 @@
 """Unit tests for the shared ExperimentContext plumbing."""
 
+import pytest
 
+from repro.api import Session
 from repro.experiments import ExperimentContext
 from repro.topology.config import TopologyConfig
 
@@ -67,17 +69,28 @@ class TestVendorViews:
     def test_router_reboots_one_per_set(self, ctx):
         assert len(ctx.router_last_reboots) <= ctx.router_sets.count
 
+    def test_verdicts_are_the_sessions(self, ctx):
+        """Figures 11 and 12 read the session's one set of verdicts."""
+        assert ctx.device_vendors is ctx.session.device_vendors
+        verdicts = {id(g): v for g, v in ctx.device_vendors}
+        assert [g for g, __ in ctx.router_vendors] == ctx.router_sets.sets
+        assert all(v is verdicts[id(g)] for g, v in ctx.router_vendors)
+
 
 class TestCustomPipeline:
     def test_custom_pipeline_threads_through(self):
-        from repro.pipeline.filters import FilterPipeline
+        def context(threshold):
+            return ExperimentContext(Session(
+                config=TopologyConfig.tiny(seed=19), reboot_threshold=threshold
+            ))
 
-        loose = ExperimentContext.create(
-            TopologyConfig.tiny(seed=19),
-            pipeline=FilterPipeline(reboot_threshold=120.0),
-        )
-        strict = ExperimentContext.create(
-            TopologyConfig.tiny(seed=19),
-            pipeline=FilterPipeline(reboot_threshold=2.0),
-        )
-        assert len(loose.valid_v4) >= len(strict.valid_v4)
+        loose, strict = context(120.0), context(2.0)
+        assert len(loose.valid_v4) > len(strict.valid_v4)
+        assert loose.pipeline_v4.stats.removed["inconsistent-reboot-time"] < \
+            strict.pipeline_v4.stats.removed["inconsistent-reboot-time"]
+
+
+class TestWorldKinds:
+    def test_streamed_config_is_rejected(self):
+        with pytest.raises(ValueError, match="LazyTopology"):
+            ExperimentContext.create(TopologyConfig.streamed(divisor=4000, seed=3))

@@ -41,6 +41,9 @@ class TestScanAnalyzeWorkflow:
         ))
         assert census[0] == ["vendor", "devices"]
         assert len(census) > 2
+        # The exported scans give the session's census, ties included.
+        want = Session(scale=1500, seed=3).vendor_census()
+        assert census[1:] == [[vendor, str(count)] for vendor, count in want]
 
     def test_scan_export_is_loadable(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -84,6 +87,23 @@ class TestLazyScan:
             assert want, label
             got = load_scan_jsonl(run_dir / f"scan-{label}.jsonl").observations
             assert got == want, label
+
+    @pytest.mark.parametrize("argv, error, build_started", [
+        ("scan --max-resident 600 --scale 4000 --seed 5",
+         "max_resident only applies to lazy=True", False),
+        ("scan --lazy --max-resident 100 --scale 4000",
+         "max_resident must be at least 512, got 100", True),
+        ("scan --shards 0 --scale 300", "num_shards must be >= 1, got 0", False),
+    ])
+    def test_bad_flags_exit_2_before_any_scan(
+        self, argv, error, build_started, tmp_path, capsys
+    ):
+        run_dir = tmp_path / "run"
+        assert main([*argv.split(), "--out", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {error}" in captured.err
+        assert ("simulated Internet" in captured.out) is build_started
+        assert not list(tmp_path.rglob("scan-*.jsonl"))
 
     def test_layout_flag_is_gone(self, tmp_path, capsys):
         argv = [*"scan --layout streamed --scale 4000".split(),

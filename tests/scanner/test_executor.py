@@ -10,7 +10,6 @@ from repro.net.transport import NetworkFabric
 from repro.scanner.campaign import SCAN_LABELS, ScanCampaign
 from repro.scanner.executor import (
     ExecutionOptions,
-    ExecutorConfig,
     RetryPolicy,
     ShardedScanExecutor,
     plan_shards,
@@ -340,7 +339,7 @@ class TestCircuitBreaker:
             fabric=NetworkFabric(seed=3),
             devices={1: _FakeDevice(agent)},
             owner_of=lambda address: 1,
-            config=ExecutorConfig(num_shards=1, retry=retry),
+            options=ExecutionOptions(num_shards=1, retry=retry),
         )
 
     def test_breaker_stops_retrying_dead_device(self):
@@ -454,11 +453,13 @@ class TestFaultsAndRetries:
 
 class TestConfig:
     @pytest.mark.parametrize(
-        "kwargs", [{"num_shards": 0}, {"batch_size": 0}, {"workers": -1}]
+        "kwargs",
+        [{"num_shards": 0}, {"batch_size": 0}, {"workers": -1},
+         {"window": 0}, {"target_window": 0}],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            ExecutorConfig(**kwargs)
+            ExecutionOptions(**kwargs)
 
 
 class TestFastProbeEncoder:

@@ -28,7 +28,7 @@ import hashlib
 import pytest
 
 from repro.scanner.campaign import ScanCampaign
-from repro.scanner.executor import ExecutionOptions, RetryPolicy
+from repro.scanner.executor import DEFAULT_WINDOW, ExecutionOptions, RetryPolicy
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import TopologyGenerator, build_topology
 
@@ -120,8 +120,8 @@ def campaign_digest(result) -> "tuple[str, dict[str, list[tuple]]]":
     return digest, counters
 
 
-def run_campaign(*, window=None, workers=None, fault_profile=None, retry=None,
-                 num_shards=4, batch_size=16):
+def run_campaign(*, window=DEFAULT_WINDOW, workers=1, fault_profile=None,
+                 retry=RetryPolicy(), num_shards=4, batch_size=16):
     topology = TopologyGenerator(
         config=TopologyConfig(seed=SEED, scale_divisor=DIVISOR)
     ).build()
