@@ -37,11 +37,6 @@ class MacCorrelationMatch:
     engine_mac: MacAddress
     v6_mac: MacAddress
 
-    @property
-    def mac_distance(self) -> int:
-        """Distance between the two MACs (0 = identical interface)."""
-        return abs(self.engine_mac.value - self.v6_mac.value)
-
 
 @dataclass
 class MacCorrelator:

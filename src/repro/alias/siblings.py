@@ -39,11 +39,6 @@ class SiblingVerdict:
     rate_v4: float
     rate_v6: float
 
-    @property
-    def relative_rate_delta(self) -> float:
-        base = max(abs(self.rate_v4), 1e-9)
-        return abs(self.rate_v4 - self.rate_v6) / base
-
 
 class TcpTimestampOracle:
     """Answers TCP timestamp probes against the simulated population."""

@@ -172,7 +172,6 @@ class Session:
             store = Store(root=store)
         self._store = store
         self._topology: "Topology | LazyTopology | None" = None
-        self._campaign_obj: "ScanCampaign | None" = None
         self._targeted_campaign: "ScanCampaign | None" = None
         self._campaign: "CampaignResult | None" = None
         self._pipelines: dict[int, PipelineResult] = {}
@@ -430,10 +429,8 @@ class Session:
     def _make_campaign(
         self, *, options: "ExecutionOptions | None" = None
     ) -> ScanCampaign:
-        campaign = ScanCampaign(
+        return ScanCampaign(
             topology=self.topology,
             config=self.config,
             options=options if options is not None else self._options,
         )
-        self._campaign_obj = campaign
-        return campaign

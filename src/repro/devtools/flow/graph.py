@@ -491,12 +491,6 @@ class ProjectGraph:
                 sites.extend(self._callers.get(class_qual, []))
         return sites
 
-    def function_of_class_site(self, site: CallSite) -> "FunctionInfo | None":
-        """The ``__init__`` actually entered by a constructor call site."""
-        if site.callee in self.classes:
-            return self.init_of(site.callee)
-        return self.functions.get(site.callee)
-
     def bind_arguments(
         self, callee: FunctionInfo, call: ast.Call
     ) -> "dict[str, ast.expr]":
@@ -516,15 +510,6 @@ class ProjectGraph:
             if keyword.arg is not None:
                 bound[keyword.arg] = keyword.value
         return bound
-
-    def module_of(self, qualname: str) -> "str | None":
-        fn = self.functions.get(qualname)
-        if fn is not None:
-            return fn.module
-        cls_info = self.classes.get(qualname)
-        if cls_info is not None:
-            return cls_info.module
-        return None
 
 
 __all__ = [

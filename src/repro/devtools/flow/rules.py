@@ -560,24 +560,6 @@ def _with_bound_names(fn: FunctionInfo) -> "set[int]":
     return managed
 
 
-def _risky_statements_after(
-    body: "Sequence[ast.stmt]", marker: ast.stmt
-) -> "list[ast.stmt]":
-    """Statements after ``marker`` (same block) that can raise: any
-    containing a call, a raise, or an assert."""
-    try:
-        index = body.index(marker)
-    except ValueError:
-        return []
-    risky: "list[ast.stmt]" = []
-    for stmt in body[index + 1:]:
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.Call, ast.Raise, ast.Assert)):
-                risky.append(stmt)
-                break
-    return risky
-
-
 def check_resource_lifecycle(graph: ProjectGraph) -> "list[FlowFinding]":
     findings: "list[FlowFinding]" = []
     project_resources = resource_classes(graph)

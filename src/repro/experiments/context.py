@@ -171,7 +171,8 @@ class ExperimentContext:
     # -- per-AS views --------------------------------------------------------------------
 
     def as_of_set(self, group: "frozenset[IPAddress]") -> "int | None":
-        """Majority AS of an alias set's addresses (ground-truth prefix map)."""
+        """Majority AS of an alias set's addresses (ground-truth prefix
+        map); a tie goes to the smaller ASN."""
         counts: dict[int, int] = {}
         for address in group:
             device = self.topology.device_of_address(address)
@@ -179,7 +180,7 @@ class ExperimentContext:
                 counts[device.asn] = counts.get(device.asn, 0) + 1
         if not counts:
             return None
-        return max(counts, key=counts.get)
+        return min(counts, key=lambda asn: (-counts[asn], asn))
 
     @cached_property
     def router_vendor_by_as(self) -> dict[int, list[str]]:
@@ -194,14 +195,21 @@ class ExperimentContext:
 
     # -- reboot views ------------------------------------------------------------------------
 
+    def record_of_set(self, group: "frozenset[IPAddress]") -> "ValidRecord | None":
+        """The valid record of an alias set's first address that has one.
+
+        Addresses are taken IPv4 first, then in numeric order: a
+        frozenset's own order follows the interpreter's string hashing,
+        so it would tie the pick to the process.
+        """
+        for address in sorted(group, key=lambda a: (a.version, int(a))):
+            record = self.record_by_address.get(address)
+            if record is not None:
+                return record
+        return None
+
     @cached_property
     def router_last_reboots(self) -> list[float]:
         """One last-reboot timestamp per router alias set (Figure 13)."""
-        reboots = []
-        for group in self.router_sets.sets:
-            for address in group:
-                record = self.record_by_address.get(address)
-                if record is not None:
-                    reboots.append(record.last_reboot_time)
-                    break
-        return reboots
+        records = (self.record_of_set(group) for group in self.router_sets.sets)
+        return [r.last_reboot_time for r in records if r is not None]

@@ -111,10 +111,6 @@ def figure13(ctx: ExperimentContext) -> UptimeStatistics:
     return uptime_statistics(ctx.router_last_reboots)
 
 
-def figure13_ecdf(ctx: ExperimentContext) -> Ecdf:
-    return Ecdf.from_values(ctx.router_last_reboots)
-
-
 def figure13_by_vendor(ctx: ExperimentContext, min_routers: int = 5) -> dict[str, UptimeStatistics]:
     """Patch hygiene per vendor: §6.3's uptime analysis, broken down.
 
@@ -124,13 +120,11 @@ def figure13_by_vendor(ctx: ExperimentContext, min_routers: int = 5) -> dict[str
     """
     reboots_by_vendor: dict[str, list[float]] = {}
     for group, verdict in ctx.router_vendors:
-        for address in group:
-            record = ctx.record_by_address.get(address)
-            if record is not None:
-                reboots_by_vendor.setdefault(verdict.vendor, []).append(
-                    record.last_reboot_time
-                )
-                break
+        record = ctx.record_of_set(group)
+        if record is not None:
+            reboots_by_vendor.setdefault(verdict.vendor, []).append(
+                record.last_reboot_time
+            )
     return {
         vendor: uptime_statistics(reboots)
         for vendor, reboots in reboots_by_vendor.items()

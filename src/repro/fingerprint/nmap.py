@@ -60,9 +60,6 @@ class NmapResult:
     os_detail: "str | None"
     probes_sent: int
 
-    def agrees_with(self, true_vendor: str) -> bool:
-        return self.vendor == true_vendor
-
 
 class NmapEngine:
     """Fingerprint targets on the simulated population."""

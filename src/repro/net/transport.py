@@ -82,20 +82,6 @@ class LinkProfile:
     jitter: float = 0.02
 
 
-class HandlerTimer:
-    """Accumulates real wall-clock seconds spent inside bound handlers.
-
-    The scan executor's profile mode attaches one per shard view so the
-    delivery path can split "fabric transit" from "agent handling" time;
-    with no timer attached the hot path pays nothing.
-    """
-
-    __slots__ = ("seconds",)
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-
-
 @dataclass
 class FabricStats:
     """Counters the fabric keeps for observability and tests.
@@ -106,7 +92,9 @@ class FabricStats:
     separately in ``dropped_reply_loss`` (historically they were folded
     into ``dropped_loss``, which broke the forward-path invariant).
     Fault counters (``duplicated``/``reordered``/``truncated``/
-    ``corrupted``) stay zero unless a fault profile is attached.
+    ``corrupted``) stay zero unless a fault profile is attached, and
+    ``agent_time`` stays zero unless a timed :class:`FabricView` adds
+    the real seconds its bound handlers ran.
     """
 
     injected: int = 0
@@ -123,6 +111,7 @@ class FabricStats:
     reordered: int = 0
     truncated: int = 0
     corrupted: int = 0
+    agent_time: float = 0.0
 
 
 class NetworkFabric:
@@ -290,7 +279,7 @@ class NetworkFabric:
         rng: random.Random,
         stats: FabricStats,
         buckets: "dict[IPAddress, TokenBucket]",
-        timer: "HandlerTimer | None" = None,
+        timed: bool = False,
     ) -> list[tuple[Datagram, float]]:
         """Delivery core, parameterized on the RNG, stats and bucket sinks.
 
@@ -342,12 +331,12 @@ class NetworkFabric:
         # reply past the normal path latency.
         extra_delay = getattr(getattr(handler, "__self__", None), "response_delay", 0.0)
         replies: list[tuple[Datagram, float]] = []
-        if timer is None:
+        if not timed:
             payloads = handler(datagram, arrival)
         else:
             handler_started = time.perf_counter()
             payloads = list(handler(datagram, arrival))
-            timer.seconds += time.perf_counter() - handler_started
+            stats.agent_time += time.perf_counter() - handler_started
         for payload in payloads:
             copies = 1
             if (
@@ -404,7 +393,7 @@ class NetworkFabric:
         rng: random.Random,
         stats: FabricStats,
         buckets: "dict[IPAddress, TokenBucket]",
-        timer: "HandlerTimer | None" = None,
+        timed: bool = False,
         protocol: str = "udp",
     ) -> "list[list[tuple[bytes, float, int]]]":
         """Deliver a window of same-source probes in one staged pass.
@@ -518,25 +507,25 @@ class NetworkFabric:
                 extra_delay = getattr(owner, "response_delay", 0.0)
                 if fast is not None and probe_intact and msg_ids is not None:
                     msg_id = msg_ids[index]
-                    if timer is None:
+                    if not timed:
                         payloads_out = fast(payload, msg_id, msg_id, arrival, source)
                     else:
                         handler_started = time.perf_counter()
                         payloads_out = list(
                             fast(payload, msg_id, msg_id, arrival, source)
                         )
-                        timer.seconds += time.perf_counter() - handler_started
+                        stats.agent_time += time.perf_counter() - handler_started
                 else:
                     datagram = Datagram(
                         src=source, dst=target, sport=sport, dport=dport,
                         payload=payload, sent_at=now,
                     )
-                    if timer is None:
+                    if not timed:
                         payloads_out = handler(datagram, arrival)
                     else:
                         handler_started = time.perf_counter()
                         payloads_out = list(handler(datagram, arrival))
-                        timer.seconds += time.perf_counter() - handler_started
+                        stats.agent_time += time.perf_counter() - handler_started
                 replies: "list[tuple[bytes, float, int]]" = []
                 append_reply = replies.append
                 for reply_payload in payloads_out:
@@ -587,17 +576,24 @@ class NetworkFabric:
             stats.corrupted += corrupted
         return out
 
-    def shard_view(self, seed: int, timer: "HandlerTimer | None" = None) -> "FabricView":
+    def shard_view(
+        self,
+        seed: int,
+        stats: "FabricStats | None" = None,
+        timed: bool = False,
+    ) -> "FabricView":
         """A delivery view with its own RNG and stats over shared bindings.
 
         The sharded executor gives every shard a view seeded from
         ``(campaign seed, scan label, shard index)`` so loss and jitter
         outcomes are a pure function of the shard's own probe sequence —
         independent of how shards are spread over worker processes.
-        ``timer`` (profile mode) accumulates the wall-clock seconds spent
-        inside bound handlers during this view's deliveries.
+        The view counts into ``stats`` (the shard's own metrics record;
+        a fresh :class:`FabricStats` when omitted).  A ``timed`` view
+        (profile mode) also adds the wall-clock seconds its bound
+        handlers run to ``stats.agent_time``.
         """
-        return FabricView(self, seed, timer)
+        return FabricView(self, seed, stats, timed)
 
     @property
     def endpoint_count(self) -> int:
@@ -621,13 +617,14 @@ class FabricView:
         self,
         fabric: NetworkFabric,
         seed: int,
-        timer: "HandlerTimer | None" = None,
+        stats: "FabricStats | None" = None,
+        timed: bool = False,
     ) -> None:
         self._fabric = fabric
         self._rng = random.Random(seed)
         self._buckets: dict[IPAddress, TokenBucket] = {}
-        self.stats = FabricStats()
-        self.timer = timer
+        self.stats = FabricStats() if stats is None else stats
+        self.timed = timed
 
     def inject(
         self, datagram: Datagram, now: float, protocol: str = "udp"
@@ -635,7 +632,7 @@ class FabricView:
         """Deliver a probe through the parent fabric with shard-local RNG."""
         return self._fabric._deliver(
             datagram, now, protocol, self._rng, self.stats, self._buckets,
-            self.timer,
+            self.timed,
         )
 
     def inject_probe_batch(
@@ -656,5 +653,5 @@ class FabricView:
         """
         return self._fabric._deliver_probe_batch(
             source, sport, dport, targets, payloads, send_times, msg_ids,
-            self._rng, self.stats, self._buckets, self.timer, protocol,
+            self._rng, self.stats, self._buckets, self.timed, protocol,
         )

@@ -104,7 +104,7 @@ class CampaignResult:
     #: query ``topology.owner_of``/``binding_of`` instead of a snapshot.
     bindings: dict[str, dict[IPAddress, int]] = field(default_factory=dict)
     datasets: "RouterDatasets | StreamedRouterDatasets | None" = None
-    #: Per-scan execution metrics; populated only by the sharded engine.
+    #: Per-scan execution metrics, one per scan.
     metrics: dict[str, ExecutorMetrics] = field(default_factory=dict)
 
     def scan_pair(self, version: int) -> tuple[ScanResult, ScanResult]:

@@ -44,9 +44,9 @@ from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from repro.net.addresses import IPAddress
-from repro.net.transport import HandlerTimer, NetworkFabric
+from repro.net.transport import NetworkFabric
 from repro.scanner.metrics import ExecutorMetrics, ShardMetrics
-from repro.scanner.pipeline import StageTimings, probe_targets_pipelined
+from repro.scanner.pipeline import probe_targets_pipelined
 from repro.scanner.pool import MSG_METRICS, WorkerPool
 from repro.scanner.records import ScanObservation, ScanResult
 from repro.scanner.wire import decode_observations
@@ -589,8 +589,8 @@ def _materialize(
     assert execution.finished_at is not None
     scan.finished_at = execution.finished_at
     scan.targets_probed = metrics.probes_sent
-    scan.probe_bytes_sent = sum(s.probe_bytes for s in metrics.shards)
-    scan.reply_bytes_received = sum(s.reply_bytes for s in metrics.shards)
+    scan.probe_bytes_sent = metrics.probe_bytes
+    scan.reply_bytes_received = metrics.reply_bytes
     return scan
 
 
@@ -843,14 +843,16 @@ class ShardedScanExecutor:
         outcomes, preserving byte-identity across worker counts.
 
         Observations are yielded as they are made by the staged pipeline
-        of :mod:`repro.scanner.pipeline`; ``shard`` is finalized (fabric
-        stats, wall time, stage timings) on exhaustion.
+        of :mod:`repro.scanner.pipeline`.  The shard's fabric view counts
+        into ``shard`` as it delivers, and the pipeline adds its counters
+        and (profile mode) stage seconds; ``observations`` and
+        ``wall_time`` are set on exhaustion.
         """
         shard_started = time.perf_counter()
         options = self.options
-        profile = options.profile
-        timer = HandlerTimer() if profile else None
-        view = self._fabric.shard_view(spec.seed, timer)
+        view = self._fabric.shard_view(
+            spec.seed, stats=shard, timed=options.profile
+        )
         device_ids: "Iterable[int]" = spec.device_ids
         if self._snapshot_filter is not None:
             device_ids = self._snapshot_filter(spec.device_ids)
@@ -859,10 +861,9 @@ class ShardedScanExecutor:
             for device in (self._devices[d] for d in device_ids)
         ]
         yielded = 0
-        timings = StageTimings()
         produce = probe_targets_pipelined(
             view, spec, params, options.retry, options.window,
-            self._owner_of, shard, timings, profile,
+            self._owner_of, shard, options.profile,
         )
         try:
             for observation in produce:
@@ -871,25 +872,7 @@ class ShardedScanExecutor:
         finally:
             for device, snapshot in snapshots:
                 _restore_device(device, snapshot)
-        stats = view.stats
-        shard.probes_sent = stats.injected
-        shard.replies = stats.replies
         shard.observations = yielded
-        shard.dropped_loss = stats.dropped_loss
-        shard.dropped_reply_loss = stats.dropped_reply_loss
-        shard.dropped_no_endpoint = stats.dropped_no_endpoint
-        shard.dropped_rate_limited = stats.dropped_rate_limited
-        shard.duplicated = stats.duplicated
-        shard.reordered = stats.reordered
-        shard.truncated = stats.truncated
-        shard.corrupted = stats.corrupted
-        shard.probe_bytes = stats.probe_bytes
-        shard.reply_bytes = stats.reply_bytes
-        if timer is not None:
-            shard.encode_time = timings.encode
-            shard.agent_time = timer.seconds
-            shard.fabric_time = max(0.0, timings.inject - timer.seconds)
-            shard.decode_time = timings.decode
         shard.wall_time = time.perf_counter() - shard_started
 
 

@@ -67,17 +67,6 @@ if TYPE_CHECKING:
     ReplyEntry = tuple[bytes, float, int]
 
 
-class StageTimings:
-    """Wall-clock accumulators for the executor's profile mode."""
-
-    __slots__ = ("encode", "inject", "decode")
-
-    def __init__(self) -> None:
-        self.encode = 0.0
-        self.inject = 0.0
-        self.decode = 0.0
-
-
 def observe_replies(
     target: "IPAddress", replies: "list[ReplyEntry]"
 ) -> ScanObservation:
@@ -120,17 +109,19 @@ def probe_targets_pipelined(
     window: int,
     owner_of: "object",
     shard: "ShardMetrics",
-    timings: StageTimings,
     profile: bool,
 ) -> Iterator[ScanObservation]:
-    """Yield one shard's observations through the staged pipeline."""
+    """Yield one shard's observations through the staged pipeline.
+
+    Counters go to ``shard``; with ``profile`` each stage also adds its
+    wall-clock seconds (``encode_time``, ``inject_time``,
+    ``decode_time``).
+    """
     if retry.max_retries > 0:
         return _probe_targets_retry(
-            view, spec, params, retry, owner_of, shard, timings, profile
+            view, spec, params, retry, owner_of, shard, profile
         )
-    return _probe_targets_staged(
-        view, spec, params, retry, window, shard, timings, profile
-    )
+    return _probe_targets_staged(view, spec, params, retry, window, shard, profile)
 
 
 def _probe_targets_staged(
@@ -140,7 +131,6 @@ def _probe_targets_staged(
     retry: "RetryPolicy",
     window: int,
     shard: "ShardMetrics",
-    timings: StageTimings,
     profile: bool,
 ) -> Iterator[ScanObservation]:
     """Window-staged path: valid whenever no retries are configured.
@@ -171,19 +161,16 @@ def _probe_targets_staged(
         ]
         if profile:
             stage_started = perf()
-            payloads = template.render_batch(msg_ids)
-            timings.encode += perf() - stage_started
+        payloads = template.render_batch(msg_ids)
+        if profile:
+            shard.encode_time += perf() - stage_started
             stage_started = perf()
-            reply_lists = inject_batch(
-                source, sport, SNMP_PORT, targets, payloads, send_times, msg_ids
-            )
-            timings.inject += perf() - stage_started
+        reply_lists = inject_batch(
+            source, sport, SNMP_PORT, targets, payloads, send_times, msg_ids
+        )
+        if profile:
+            shard.inject_time += perf() - stage_started
             stage_started = perf()
-        else:
-            payloads = template.render_batch(msg_ids)
-            reply_lists = inject_batch(
-                source, sport, SNMP_PORT, targets, payloads, send_times, msg_ids
-            )
         observations: "list[ScanObservation]" = []
         append = observations.append
         for index, replies in enumerate(reply_lists):
@@ -201,7 +188,7 @@ def _probe_targets_staged(
                 shard.unparsed += 1
             append(observation)
         if profile:
-            timings.decode += perf() - stage_started
+            shard.decode_time += perf() - stage_started
         yield from observations
 
 
@@ -212,7 +199,6 @@ def _probe_targets_retry(
     retry: "RetryPolicy",
     owner_of: "object",
     shard: "ShardMetrics",
-    timings: StageTimings,
     profile: bool,
 ) -> Iterator[ScanObservation]:
     """Per-target path for retry policies.
@@ -240,10 +226,9 @@ def _probe_targets_retry(
         msg_id = global_index + 1
         if profile:
             stage_started = perf()
-            payload = template.render(msg_id)
-            timings.encode += perf() - stage_started
-        else:
-            payload = template.render(msg_id)
+        payload = template.render(msg_id)
+        if profile:
+            shard.encode_time += perf() - stage_started
         if retry.breaker_threshold:
             breaker_key = owner_of(target)  # type: ignore[operator]
             if breaker_key is None:
@@ -259,16 +244,12 @@ def _probe_targets_retry(
         while True:
             if profile:
                 stage_started = perf()
-                replies = inject_batch(
-                    source, sport, SNMP_PORT, [target], [payload],
-                    [send_time], [msg_id],
-                )[0]
-                timings.inject += perf() - stage_started
-            else:
-                replies = inject_batch(
-                    source, sport, SNMP_PORT, [target], [payload],
-                    [send_time], [msg_id],
-                )[0]
+            replies = inject_batch(
+                source, sport, SNMP_PORT, [target], [payload],
+                [send_time], [msg_id],
+            )[0]
+            if profile:
+                shard.inject_time += perf() - stage_started
             if timeout is not None and replies:
                 on_time = [
                     entry for entry in replies if entry[1] - send_time <= timeout
@@ -278,10 +259,9 @@ def _probe_targets_retry(
             if replies:
                 if profile:
                     stage_started = perf()
-                    observation = observe_replies(target, replies)
-                    timings.decode += perf() - stage_started
-                else:
-                    observation = observe_replies(target, replies)
+                observation = observe_replies(target, replies)
+                if profile:
+                    shard.decode_time += perf() - stage_started
                 if observation.engine_id is not None:
                     break
             if not allow_retries or attempt >= retry.max_retries:
@@ -304,7 +284,6 @@ def _probe_targets_retry(
 
 
 __all__ = [
-    "StageTimings",
     "observe_replies",
     "probe_targets_pipelined",
 ]

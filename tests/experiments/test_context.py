@@ -52,6 +52,19 @@ class TestAsAttribution:
                 checked += 1
         assert checked > 50
 
+    def test_as_tie_goes_to_the_smaller_asn(self, ctx):
+        """A set split evenly between two ASes belongs to the smaller
+        ASN, whatever order the frozenset iterates in."""
+        first_address = {}
+        for device in ctx.topology.devices.values():
+            if device.addresses:
+                first_address.setdefault(device.asn, device.addresses[0])
+        asns = sorted(first_address)
+        assert len(asns) > 40
+        for low, high in zip(asns[:20], asns[-20:]):
+            pair = frozenset({first_address[low], first_address[high]})
+            assert ctx.as_of_set(pair) == low
+
     def test_as_of_empty_counts(self, ctx):
         import ipaddress
 

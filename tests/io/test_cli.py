@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import Session, TopologyOptions
 from repro.cli import build_parser, main
 from repro.io import load_scan_jsonl
@@ -115,6 +120,20 @@ class TestLazyScan:
             capsys.readouterr().err
 
 
+class TestScanProfile:
+    def test_profile_prints_stage_and_edge_lines(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["scan", "--profile", "--scale", "4000", "--seed", "5",
+                     "--out", str(run_dir)]) == 0
+        out = capsys.readouterr().out
+        for label in SCAN_LABELS:
+            [summary] = [line for line in out.split("\n  ")
+                         if line.startswith(f"{label}: ")]
+            assert " probes over 16 shards x 1 worker(s) in " in summary
+        assert out.count("\n  stages: encode ") == len(SCAN_LABELS)
+        assert out.count("\n  edges: plan ") == len(SCAN_LABELS)
+
+
 class TestLab:
     def test_lab_passes(self, capsys):
         assert main(["lab"]) == 0
@@ -131,6 +150,29 @@ class TestPublish:
         assert (out_dir / "table1.csv").exists()
         assert (out_dir / "fig12_router_vendors.csv").exists()
         assert "CSV artifacts" in capsys.readouterr().out
+
+    def test_publish_bytes_ignore_the_hash_seed(self, tmp_path):
+        """Alias sets are frozensets, whose iteration order follows the
+        interpreter's string hashing; no published byte may."""
+        src = str(Path(repro.__file__).parents[1])
+        trees = []
+        for hash_seed in ("1", "2"):
+            out_dir = tmp_path / f"hash-seed-{hash_seed}"
+            subprocess.run(
+                [sys.executable, "-m", "repro.cli", "publish", "--scale",
+                 "2000", "--seed", "3", "--out", str(out_dir)],
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONHASHSEED": hash_seed},
+                check=True, capture_output=True, timeout=300,
+            )
+            trees.append({
+                path.relative_to(out_dir).as_posix(): path.read_bytes()
+                for path in sorted(out_dir.rglob("*")) if path.is_file()
+            })
+        assert len(trees[0]) == 22
+        assert sorted(trees[0]) == sorted(trees[1])
+        for name, data in trees[0].items():
+            assert data == trees[1][name], name
 
 
 class TestReport:

@@ -416,8 +416,34 @@ class TestFaultsAndRetries:
         result = campaign.run()
         total = sum(m.faults_injected for m in result.metrics.values())
         assert total > 0
-        for metrics in result.metrics.values():
-            assert "faults_injected" in metrics.to_dict()
+
+    def test_scan_totals_are_the_sums_of_its_shards(self):
+        """Every total a reader takes from a scan's metrics equals the
+        sum of its shards' counters, through the pool's pipe too."""
+        __, campaign = _run_campaign(
+            workers=2, fault_profile="chaos", retry=self.RETRY, profile=True
+        )
+        same_name = (
+            "targets", "probes_sent", "replies", "observations", "retries",
+            "timed_out", "unparsed", "breaker_tripped", "probe_bytes",
+            "reply_bytes", "ipc_bytes", "encode_time", "fabric_time",
+            "agent_time", "decode_time",
+        )
+        derived = {
+            "losses": lambda s: s.dropped_loss + s.dropped_reply_loss,
+            "rate_limited": lambda s: s.dropped_rate_limited,
+            "faults_injected": lambda s: (
+                s.duplicated + s.reordered + s.truncated + s.corrupted
+            ),
+        }
+        for label, metrics in campaign.run().metrics.items():
+            shards = metrics.shards
+            for name in same_name:
+                want = sum(getattr(shard, name) for shard in shards)
+                assert getattr(metrics, name) == want, (label, name)
+            for name, of_shard in derived.items():
+                want = sum(map(of_shard, shards))
+                assert getattr(metrics, name) == want, (label, name)
 
     def test_rate_limiter_visible_in_metrics(self):
         from repro.net.faults import FaultProfile, RateLimit
