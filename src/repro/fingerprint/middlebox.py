@@ -141,11 +141,7 @@ class MiddleboxDetector:
         for device in topology.devices.values():
             if not device.snmp_open:
                 continue
-            handler = (
-                device.agent_pool.handle_datagram
-                if device.agent_pool is not None
-                else device.agent.handle_datagram
-            )
+            handler = device.snmp_handler()
             for interface in device.interfaces:
                 if interface.snmp_reachable:
                     self._fabric.bind(interface.address, "udp", SNMP_PORT, handler)

@@ -144,7 +144,6 @@ class NetworkFabric:
         # batch path pays one address hash per probe instead of three
         # (endpoint, ACL, link profile).
         self._delivery_indexes: "dict[tuple[str, int], dict[IPAddress, tuple[Handler, AccessControlList | None, LinkProfile]]]" = {}
-        self._resolver: "Callable[[IPAddress, str, int], Handler | None] | None" = None
         self.stats = FabricStats()
 
     # -- wiring -----------------------------------------------------------
@@ -196,21 +195,6 @@ class NetworkFabric:
             entry = index.get(address)
             if entry is not None:
                 index[address] = (entry[0], entry[1], profile)
-
-    def set_resolver(
-        self, resolver: "Callable[[IPAddress, str, int], Handler | None] | None"
-    ) -> None:
-        """Install a fallback endpoint resolver for lazy topologies.
-
-        When a probe reaches ``(address, protocol, port)`` with no bound
-        endpoint, the resolver is consulted; returning a handler delivers
-        the probe exactly as if the endpoint had been bound up front,
-        returning ``None`` drops it as unbound.  The fabric never caches
-        resolved handlers — the resolver owns residency policy — so a
-        streaming campaign's memory stays bounded by its own cache.
-        """
-        self._resolver = resolver
-        self._delivery_indexes.clear()
 
     def _delivery_index(
         self, protocol: str, port: int
@@ -293,8 +277,6 @@ class NetworkFabric:
         stats.injected += 1
         stats.probe_bytes += datagram.wire_size
         handler = self._endpoints.get((datagram.dst, protocol, datagram.dport))
-        if handler is None and self._resolver is not None:
-            handler = self._resolver(datagram.dst, protocol, datagram.dport)
         if handler is None:
             stats.dropped_no_endpoint += 1
             return []
@@ -395,6 +377,7 @@ class NetworkFabric:
         buckets: "dict[IPAddress, TokenBucket]",
         timed: bool = False,
         protocol: str = "udp",
+        handlers: "list[Handler | None] | None" = None,
     ) -> "list[list[tuple[bytes, float, int]]]":
         """Deliver a window of same-source probes in one staged pass.
 
@@ -413,10 +396,30 @@ class NetworkFabric:
         agent is invoked through that hinted entry point and the datagram
         is never materialized.  Corrupted probes, ACL-checked targets and
         foreign handlers fall back to the legacy handler call.
+
+        ``handlers``, aligned with ``targets``, names each probe's
+        endpoint (``None``: nothing answers) in place of the bound ones,
+        for a world that resolves its endpoints per shard instead of
+        binding them up front.  The target's ACL and link profile still
+        apply.
         """
-        delivery = self._delivery_index(protocol, dport)
-        resolver = self._resolver
-        default_profile = self._default_profile
+        if handlers is None:
+            delivery = self._delivery_index(protocol, dport)
+            entries = list(map(delivery.get, targets))
+        else:
+            acls = self._acls
+            profiles = self._profiles
+            default_profile = self._default_profile
+            entries = [
+                None
+                if handler is None
+                else (
+                    handler,
+                    acls.get(target),
+                    profiles.get(target, default_profile),
+                )
+                for target, handler in zip(targets, handlers)
+            ]
         faults = self._fault_profile
         rand = rng.random
         header_size = (20 if source.version == 4 else 40) + 8
@@ -445,20 +448,11 @@ class NetworkFabric:
                 now = send_times[index]
                 injected += 1
                 probe_bytes += header_size + len(payload)
-                entry = delivery.get(target)
+                entry = entries[index]
                 if entry is None:
-                    if resolver is not None:
-                        resolved = resolver(target, protocol, dport)
-                        if resolved is not None:
-                            entry = (
-                                resolved,
-                                self._acls.get(target),
-                                self._profiles.get(target, default_profile),
-                            )
-                    if entry is None:
-                        no_endpoint += 1
-                        append_out([])
-                        continue
+                    no_endpoint += 1
+                    append_out([])
+                    continue
                 handler, acl, profile = entry
                 if acl is not None and not acl.permits(
                     Datagram(
@@ -645,6 +639,7 @@ class FabricView:
         send_times: "list[float]",
         msg_ids: "list[int] | None" = None,
         protocol: str = "udp",
+        handlers: "list[Handler | None] | None" = None,
     ) -> "list[list[tuple[bytes, float, int]]]":
         """Deliver a window of probes with shard-local RNG in one pass.
 
@@ -654,4 +649,5 @@ class FabricView:
         return self._fabric._deliver_probe_batch(
             source, sport, dport, targets, payloads, send_times, msg_ids,
             self._rng, self.stats, self._buckets, self.timed, protocol,
+            handlers,
         )

@@ -37,8 +37,10 @@ A campaign runs over one of two world modes.  An eager
 or a loaded topology file) binds every fabric endpoint up front and rolls
 reboots and churn from the campaign RNG.  A
 :class:`~repro.topology.lazy.LazyTopology` (the streamed layout,
-``TopologyConfig(layout="streamed")``) never materializes the world:
-fabric endpoints resolve at probe time, reboot/churn events are pure
+``TopologyConfig(layout="streamed")``) never materializes the world and
+binds nothing: the executor resolves each shard's targets once, at shard
+start (:meth:`~repro.topology.lazy.LazyTopology.bindings_of`), and
+derives only the devices a probe reaches; reboot/churn events are pure
 functions of ``(seed, device, address)``, dataset membership is a
 per-address roll, and targets stream through the windowed executor
 (``execute_stream``), so peak memory is bounded by one planning window.
@@ -50,12 +52,11 @@ from __future__ import annotations
 
 import random
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.net.addresses import IPAddress
-from repro.net.transport import Handler, LinkProfile, NetworkFabric
+from repro.net.transport import LinkProfile, NetworkFabric
 from repro.scanner.executor import (
     ExecutionOptions,
     ScanExecution,
@@ -75,7 +76,7 @@ from repro.topology.datasets import (
     build_router_datasets,
 )
 from repro.topology.lazy import CHURN_PROBABILITY, LazyTopology, lb_cursor
-from repro.topology.model import Device, Topology
+from repro.topology.model import Topology
 
 #: Scan labels in chronological order.
 SCAN_LABELS = ("v6-1", "v6-2", "v4-1", "v4-2")
@@ -241,17 +242,6 @@ class ScanCampaign:
         # Per-family sorted target lists (eager worlds only); the address
         # plan is campaign-constant, so compute each family once.
         self._target_lists: dict[int, list[IPAddress]] = {}
-        # Lazy-resolver handler cache: keeps the most recently answering
-        # devices strongly referenced so the topology's canonical weak map
-        # reuses one object per device across a probe window.
-        self._handler_cache: "OrderedDict[int, tuple[Device, Handler]]" = (
-            OrderedDict()
-        )
-        # Follow the lazy topology's residency cap so one knob bounds
-        # both strong-reference pools; eager worlds never resolve.
-        self._handler_cache_cap = (
-            topology.max_resident if self._lazy else 0  # type: ignore[union-attr]
-        )
 
     # -- public -----------------------------------------------------------------
 
@@ -345,8 +335,8 @@ class ScanCampaign:
         parallel scan inherit what it builds copy-on-write.
 
         A lazy world has almost nothing to set up: dataset membership,
-        reboot times and churn are pure functions, and fabric endpoints
-        resolve at probe time instead of binding up front.
+        reboot times and churn are pure functions, and nothing is bound
+        on the fabric — the executor resolves each shard's targets.
         """
         if self._lazy:
             datasets = StreamedRouterDatasets(
@@ -357,7 +347,6 @@ class ScanCampaign:
             )
             result.datasets = datasets
             self._datasets = datasets
-            self._fabric.set_resolver(self._resolve_endpoint)
             return
         eager_datasets = build_router_datasets(self.topology, self.config)  # type: ignore[arg-type]
         result.datasets = eager_datasets
@@ -400,12 +389,8 @@ class ScanCampaign:
             options=self.options,
             seed=self.topology.seed,
             owner_of_batch=owner_of_batch,
-            # Lazy worlds fast-reject closed devices at the fabric, so
-            # their agents keep virgin state through every shard —
-            # narrowing the snapshot set to open devices skips the
-            # dominant materialization cost without touching results.
-            snapshot_filter=(
-                self.topology.open_device_ids if self._lazy else None  # type: ignore[union-attr]
+            bindings_of=(
+                self.topology.bindings_of if self._lazy else None  # type: ignore[union-attr]
             ),
         )
 
@@ -430,18 +415,6 @@ class ScanCampaign:
 
     # -- setup -------------------------------------------------------------------
 
-    @staticmethod
-    def _handler_for(device: Device) -> "Callable[..., list[bytes]]":
-        """The datagram handler a device answers with.
-
-        Load-balancer VIPs answer through their :class:`AgentPool` (the
-        scheduling policy picks a backend engine); everything else
-        answers with its own agent.
-        """
-        if device.agent_pool is not None:
-            return device.agent_pool.handle_datagram
-        return device.agent.handle_datagram
-
     def _bind_initial(self) -> None:
         for device in self.topology.devices.values():
             if not device.snmp_open:
@@ -452,7 +425,7 @@ class ScanCampaign:
                 self._binding[interface.address] = device.device_id
                 self._owner_map[interface.address] = device.device_id
                 self._fabric.bind(
-                    interface.address, "udp", SNMP_PORT, self._handler_for(device)
+                    interface.address, "udp", SNMP_PORT, device.snmp_handler()
                 )
 
     def _schedule_reboots(self) -> None:
@@ -487,7 +460,7 @@ class ScanCampaign:
         An eager world rolls churn from the campaign RNG over the live
         binding map and rebinds the fabric; a lazy world derives it per
         AS from per-address pure functions, as an ownership overlay
-        consulted at probe time.
+        consulted when each window is planned and each shard resolved.
         """
         if self._lazy:
             self.topology.activate_churn(version)  # type: ignore[union-attr]
@@ -511,7 +484,7 @@ class ScanCampaign:
                 self._binding[address] = new_owner
                 self._owner_map[address] = new_owner
                 self._fabric.bind(
-                    address, "udp", SNMP_PORT, self._handler_for(device)
+                    address, "udp", SNMP_PORT, device.snmp_handler()
                 )
 
     # -- targets ----------------------------------------------------------------------
@@ -555,33 +528,3 @@ class ScanCampaign:
     ) -> "list[int | None]":
         """Eager-world batch ownership: one C-speed map over the dict."""
         return list(map(self._owner_map.get, addresses))
-
-    def _resolve_endpoint(
-        self, address: IPAddress, protocol: str, port: int
-    ) -> "Handler | None":
-        """Fabric resolver for lazy worlds: derive the answering device.
-
-        Called on every delivery to an unbound address; the fabric never
-        caches what we return, so residency policy lives here.  A small
-        LRU of ``(device, handler)`` pairs keeps recently probed devices
-        strongly referenced — the lazy topology's canonical weak map then
-        guarantees that retries and multi-interface probes inside a
-        window hit the *same* agent object, as they would in a world
-        whose every device stays live.
-        """
-        if protocol != "udp" or port != SNMP_PORT:
-            return None
-        device = self.topology.binding_of(address)  # type: ignore[union-attr]
-        if device is None:
-            return None
-        cache = self._handler_cache
-        key = device.device_id
-        entry = cache.get(key)
-        if entry is None or entry[0] is not device:
-            entry = (device, self._handler_for(device))
-            cache[key] = entry
-        cache.move_to_end(key)
-        while len(cache) > self._handler_cache_cap:
-            cache.popitem(last=False)
-        return entry[1]
-

@@ -44,7 +44,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from repro.net.addresses import IPAddress
-from repro.net.transport import NetworkFabric
+from repro.net.transport import Handler, NetworkFabric
 from repro.scanner.metrics import ExecutorMetrics, ShardMetrics
 from repro.scanner.pipeline import probe_targets_pipelined
 from repro.scanner.pool import MSG_METRICS, WorkerPool
@@ -386,6 +386,32 @@ def _restore_device(device: "Device", snapshot: tuple) -> None:
         ) = state
 
 
+def _shard_handlers(
+    bound: "list[Device | None]",
+) -> "tuple[list[Device], list[Handler | None]]":
+    """A shard's answering devices, and each probe's handler.
+
+    One handler object per device, shared by every probe it answers and
+    kept alive with the returned list for the whole shard, so the
+    fabric's per-handler owner memo never sees an id reused.  Devices
+    come in order of first probe, never in set or dict order.
+    """
+    by_device: "dict[int, Handler]" = {}
+    devices: "list[Device]" = []
+    handlers: "list[Handler | None]" = []
+    append = handlers.append
+    for device in bound:
+        if device is None:
+            append(None)
+            continue
+        handler = by_device.get(device.device_id)
+        if handler is None:
+            handler = by_device[device.device_id] = device.snmp_handler()
+            devices.append(device)
+        append(handler)
+    return devices, handlers
+
+
 # -- per-scan wire parameters -------------------------------------------------
 
 
@@ -623,11 +649,12 @@ class ShardedScanExecutor:
     """Partitioned, optionally parallel SNMPv3 discovery scanner.
 
     The executor owns no topology — it probes whatever is bound on the
-    ``fabric`` — but needs the live ``owner_of`` view (address → device
-    id) to co-locate each device's addresses in one shard, and the
-    ``devices`` registry to snapshot/restore agent session state around
-    shard execution.  Both come from the campaign, as does ``seed``, the
-    determinism root of every shard plan (campaigns pass
+    ``fabric``, or what ``bindings_of`` resolves for a world that binds
+    nothing up front — but needs the live ``owner_of`` view (address →
+    device id) to co-locate each device's addresses in one shard, and
+    the ``devices`` registry to snapshot/restore agent session state
+    around shard execution.  All come from the campaign, as does
+    ``seed``, the determinism root of every shard plan (campaigns pass
     ``topology.seed``); ``options`` shapes execution.
     """
 
@@ -640,7 +667,7 @@ class ShardedScanExecutor:
         options: "ExecutionOptions | None" = None,
         seed: int = 0,
         owner_of_batch: "Callable[[list[IPAddress]], list[int | None]] | None" = None,
-        snapshot_filter: "Callable[[tuple[int, ...]], list[int]] | None" = None,
+        bindings_of: "Callable[[list[IPAddress]], list[Device | None]] | None" = None,
     ) -> None:
         self._fabric = fabric
         self._devices = devices
@@ -650,15 +677,13 @@ class ShardedScanExecutor:
         # one Python call per target.  Must agree with ``owner_of``
         # pointwise — the shard plan is built from whichever is present.
         self._owner_of_batch = owner_of_batch
-        # Optional snapshot narrowing: returns the subset of a shard's
-        # owner ids whose agent state probing can actually touch.  A
-        # device the fabric can never deliver to (SNMP closed on every
-        # interface) keeps virgin agent state through the shard, so its
-        # snapshot/restore pair is a no-op — but materializing it to
-        # take that no-op snapshot is the dominant cost of a streamed
-        # shard.  Byte-identity holds as long as the filter only drops
-        # devices that cannot answer.
-        self._snapshot_filter = snapshot_filter
+        # A world whose endpoints are not bound on the fabric (a lazy
+        # topology) resolves each shard's probes here instead, once per
+        # shard: the device answering each target, or ``None``.  The
+        # shard then snapshots exactly those devices — a device no probe
+        # reaches keeps its agent state — and delivers through their
+        # handlers.
+        self._bindings_of = bindings_of
         self.options = options or ExecutionOptions()
         self.seed = seed
 
@@ -853,17 +878,18 @@ class ShardedScanExecutor:
         view = self._fabric.shard_view(
             spec.seed, stats=shard, timed=options.profile
         )
-        device_ids: "Iterable[int]" = spec.device_ids
-        if self._snapshot_filter is not None:
-            device_ids = self._snapshot_filter(spec.device_ids)
-        snapshots = [
-            (device, _snapshot_device(device))
-            for device in (self._devices[d] for d in device_ids)
-        ]
+        handlers: "list[Handler | None] | None" = None
+        if self._bindings_of is None:
+            devices = [self._devices[d] for d in spec.device_ids]
+        else:
+            devices, handlers = _shard_handlers(
+                self._bindings_of([target for __, target in spec.items])
+            )
+        snapshots = [(device, _snapshot_device(device)) for device in devices]
         yielded = 0
         produce = probe_targets_pipelined(
             view, spec, params, options.retry, options.window,
-            self._owner_of, shard, options.profile,
+            self._owner_of, shard, options.profile, handlers,
         )
         try:
             for observation in produce:

@@ -37,9 +37,10 @@ fast-decode savings still apply.
 
 The streaming executor path (``execute_stream`` over a target iterator)
 reuses these stages unchanged: each planning window's shards run through
-:func:`probe_targets_pipelined` exactly as a whole-scan plan would, and
-on lazy topologies the batch inject's endpoint misses fall through to
-the fabric's resolver, which derives devices on demand — stage
+:func:`probe_targets_pipelined` exactly as a whole-scan plan would.  On
+lazy topologies nothing is bound on the fabric; the executor resolves a
+shard's targets once, at shard start, and the inject stage delivers
+through the ``handlers`` aligned with the shard's items — stage
 boundaries still never change outcomes.
 """
 
@@ -60,7 +61,7 @@ from repro.snmp.messages import (
 
 if TYPE_CHECKING:
     from repro.net.addresses import IPAddress
-    from repro.net.transport import FabricView
+    from repro.net.transport import FabricView, Handler
     from repro.scanner.executor import RetryPolicy, ShardSpec, _ScanParams
     from repro.scanner.metrics import ShardMetrics
 
@@ -110,18 +111,22 @@ def probe_targets_pipelined(
     owner_of: "object",
     shard: "ShardMetrics",
     profile: bool,
+    handlers: "list[Handler | None] | None" = None,
 ) -> Iterator[ScanObservation]:
     """Yield one shard's observations through the staged pipeline.
 
     Counters go to ``shard``; with ``profile`` each stage also adds its
     wall-clock seconds (``encode_time``, ``inject_time``,
-    ``decode_time``).
+    ``decode_time``).  ``handlers``, aligned with ``spec.items``, names
+    each probe's endpoint in place of the fabric's bound ones.
     """
     if retry.max_retries > 0:
         return _probe_targets_retry(
-            view, spec, params, retry, owner_of, shard, profile
+            view, spec, params, retry, owner_of, shard, profile, handlers
         )
-    return _probe_targets_staged(view, spec, params, retry, window, shard, profile)
+    return _probe_targets_staged(
+        view, spec, params, retry, window, shard, profile, handlers
+    )
 
 
 def _probe_targets_staged(
@@ -132,6 +137,7 @@ def _probe_targets_staged(
     window: int,
     shard: "ShardMetrics",
     profile: bool,
+    handlers: "list[Handler | None] | None",
 ) -> Iterator[ScanObservation]:
     """Window-staged path: valid whenever no retries are configured.
 
@@ -166,7 +172,8 @@ def _probe_targets_staged(
             shard.encode_time += perf() - stage_started
             stage_started = perf()
         reply_lists = inject_batch(
-            source, sport, SNMP_PORT, targets, payloads, send_times, msg_ids
+            source, sport, SNMP_PORT, targets, payloads, send_times, msg_ids,
+            handlers=None if handlers is None else handlers[base : base + window],
         )
         if profile:
             shard.inject_time += perf() - stage_started
@@ -200,6 +207,7 @@ def _probe_targets_retry(
     owner_of: "object",
     shard: "ShardMetrics",
     profile: bool,
+    handlers: "list[Handler | None] | None",
 ) -> Iterator[ScanObservation]:
     """Per-target path for retry policies.
 
@@ -221,7 +229,8 @@ def _probe_targets_retry(
     inject_batch = view.inject_probe_batch
     perf = time.perf_counter
     dead_streak: dict[object, int] = {}
-    for global_index, target in spec.items:
+    for position, (global_index, target) in enumerate(spec.items):
+        target_handlers = None if handlers is None else [handlers[position]]
         send_time = start_time + global_index * interval
         msg_id = global_index + 1
         if profile:
@@ -246,7 +255,7 @@ def _probe_targets_retry(
                 stage_started = perf()
             replies = inject_batch(
                 source, sport, SNMP_PORT, [target], [payload],
-                [send_time], [msg_id],
+                [send_time], [msg_id], handlers=target_handlers,
             )[0]
             if profile:
                 shard.inject_time += perf() - stage_started

@@ -297,22 +297,16 @@ class StreamedRouterDatasets:
             return True, True
         return False, self._roll("hl-tgt", address) < frac
 
-    def _endhost_v6_hitlist(
+    def _endhost_v6_target(
         self, device: "SlotMembership", address: IPAddress
-    ) -> tuple[bool, bool]:
-        is_cpe = device.device_type is DeviceType.CPE
+    ) -> bool:
+        """Whether an end host's v6 address is on the hitlist at all."""
         frac = (
             self._config.hitlist_cpe_frac
-            if is_cpe
+            if device.device_type is DeviceType.CPE
             else self._config.hitlist_server_frac
         )
-        if self._roll("hl-end", address) >= frac:
-            return False, False
-        hop = is_cpe and (
-            self._roll("hl-routed-cpe", address)
-            < self._config.hitlist_routed_cpe_frac
-        )
-        return hop, True
+        return self._roll("hl-end", address) < frac
 
     def _owned_device(self, address: IPAddress) -> "SlotMembership | None":
         slot = self._plan.locate(address)
@@ -343,15 +337,19 @@ class StreamedRouterDatasets:
                 or self._roll("ripe", address) < cfg.ripe_router_frac
                 or self._router_v6_hitlist(address)[0]
             )
-        if address.version != 6:
+        if address.version != 6 or device.device_type is not DeviceType.CPE:
             return False
-        return self._endhost_v6_hitlist(device, address)[0]
+        # A hitlisted CPE address is a routed hop on a roll of its own.
+        return self._endhost_v6_target(device, address) and (
+            self._roll("hl-routed-cpe", address) < cfg.hitlist_routed_cpe_frac
+        )
 
     def _hitlist_v6(self, device: "SlotMembership",
                     address: IPAddress) -> bool:
+        """Scan-target membership only: draws no routed-hop roll."""
         if device.device_type is DeviceType.ROUTER:
             return self._router_v6_hitlist(address)[1]
-        return self._endhost_v6_hitlist(device, address)[1]
+        return self._endhost_v6_target(device, address)
 
     # -- streaming -----------------------------------------------------------
 

@@ -15,8 +15,8 @@ Address arithmetic (the invertible part):
 
 * IPv4 — device ``k`` of an AS owns the slot
   ``[v4_base + 1 + k*block, v4_base + 1 + (k+1)*block)`` inside the AS
-  /16 (``block = config.stream_v4_block``); ``locate()`` inverts this
-  with a divmod.
+  /16 (``block = config.stream_v4_block``); ``StreamPlan.slot_ids``
+  inverts this with a floor division.
 * IPv6 — device ``k`` owns /64 subnet ``k`` of the AS /32:
   ``v6_base + (k << 64) + host`` where the host bits are either small
   sequential counters or EUI-64 interface IDs.
@@ -38,6 +38,7 @@ import weakref
 from collections import OrderedDict
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from hashlib import sha256
 from typing import Iterable
 
@@ -130,8 +131,9 @@ class AsPlan:
     n_lbs: int
     device_id_base: int
 
-    @property
+    @cached_property
     def n_devices(self) -> int:
+        # Cached: the address arithmetic reads it once per address.
         return self.n_routers + self.n_servers + self.n_cpe + self.n_lbs
 
     def device_type_of(self, index: int) -> DeviceType:
@@ -302,38 +304,18 @@ class StreamPlan:
 
     def locate(self, address: IPAddress) -> "DeviceSlot | None":
         """Invert the address arithmetic: which slot owns ``address``."""
-        addr_int = int(address)
-        if address.version == 4:
-            plan = self._by_v4_prefix.get(addr_int >> 16)
-            if plan is None:
-                return None
-            offset = addr_int & 0xFFFF
-            if offset < 1:
-                return None
-            index, __ = divmod(offset - 1, self.block)
-            if index >= plan.n_devices:
-                return None
-            return self._slot(plan, index)
-        if addr_int < _V6_ORIGIN:
+        device_id = self.slot_ids([address])[0]
+        if device_id is None:
             return None
-        as_index = (addr_int - _V6_ORIGIN) >> 96
-        if as_index >= len(self.plans):
-            return None
-        plan = self.plans[as_index]
-        index = (addr_int >> 64) & 0xFFFFFFFF
-        if index >= plan.n_devices:
-            return None
-        return self._slot(plan, index)
+        return self.slot_of_device_id(device_id)
 
-    def owner_ids(self, addresses: "list[IPAddress]") -> "list[int | None]":
-        """Batch owner lookup: ``locate(a).device_id`` without the slot.
+    def slot_ids(self, addresses: "list[IPAddress]") -> "list[int | None]":
+        """The device id of the slot owning each address, or ``None``.
 
-        Shard planning only needs the owning device id, and it needs it
-        for every target of every window — the dominant ``locate``
-        caller.  This is the same address arithmetic as :meth:`locate`
-        run as one loop with hoisted lookups and no ``DeviceSlot``
-        construction, which is what makes lazy planning a batch sweep
-        instead of an object allocation per target.
+        The one copy of the address arithmetic: shard planning and probe
+        resolution run it over whole windows, so it is one loop with
+        hoisted lookups and no ``DeviceSlot`` construction; everything
+        else about a slot keys on its device id.
         """
         by_v4_prefix = self._by_v4_prefix.get
         plans = self.plans
@@ -937,10 +919,13 @@ class LazyTopology:
     Exposes the slices of the ``Topology`` surface campaigns consume
     (``seed``, ``epoch``, ``devices``, ownership lookups) while holding
     at most ``max_resident`` strongly-referenced devices.  A weak-value
-    canonical map guarantees that while *anyone* (shard snapshots, the
-    fabric resolver, result handlers) still references a device, every
+    canonical map guarantees that while *anyone* (a shard's snapshots
+    and handlers, result handlers) still references a device, every
     lookup returns that same object — required for agent-state
     snapshot/restore correctness — without pinning the world in memory.
+    The executor resolves each shard's probes once, at shard start,
+    through :meth:`bindings_of`, so only devices a probe reaches are
+    derived.
     """
 
     layout = "streamed"
@@ -980,8 +965,8 @@ class LazyTopology:
         # and its bypass keeps a resident subset serving hits.  Two
         # byte-per-slot tables remember the cheap verdicts for every
         # slot ever derived: ``_openness`` (0 unknown / 1 open /
-        # 2 closed) lets ``binding_of`` and the executor's snapshot
-        # filter reject closed slots without a record, and
+        # 2 closed) lets :meth:`bindings_of` reject a closed slot's
+        # addresses without reading its record, and
         # ``_pool_flags`` (0 unknown / 1 churn-eligible / 2 not) lets
         # churn-map builds skip slots that can never join a rotation.
         self._memberships: "_SlotStore | _SweepCache" = (
@@ -1142,152 +1127,124 @@ class LazyTopology:
 
     def owner_of(self, address: IPAddress) -> "int | None":
         """Slot owner with churn overlays (the shard-planner's view)."""
-        slot = self.plan.locate(address)
-        if slot is None:
-            return None
-        for version in self._churn_versions:
-            if version != address.version:
-                continue
-            new_owner = self.churn_map(version, slot.asn).get(address)
-            if new_owner is not None:
-                return new_owner
-        return slot.device_id
+        return self.owners_of([address])[0]
 
     def owners_of(self, addresses: "list[IPAddress]") -> "list[int | None]":
-        """Batch :meth:`owner_of` over one planning window.
+        """Batch :meth:`owner_of` over one planning window."""
+        slot_ids = self.plan.slot_ids(addresses)
+        if not self._churn_versions:
+            return slot_ids
+        return [
+            slot_id if new_owner is None else new_owner
+            for slot_id, new_owner in zip(
+                slot_ids, self._rotated_owners(addresses, slot_ids)
+            )
+        ]
 
-        Same answers, one call: the plan arithmetic binds once, and churn
-        maps resolve through a window-local overlay cache so each AS's
-        rotation is fetched once per window rather than once per address.
+    def _rotated_owners(
+        self, addresses: "list[IPAddress]", slot_ids: "list[int | None]"
+    ) -> "list[int | None]":
+        """The pool member each churned address rotated to, else ``None``.
+
+        Each AS's rotation is fetched once per call rather than once per
+        address.  A rotation only moves addresses of churn-eligible
+        devices, so a slot ``_pool_flags`` already knows to be ineligible
+        needs no rotation lookup.
         """
         versions = self._churn_versions
-        if not versions:
-            return self.plan.owner_ids(addresses)
-        # Churn overlay path: the same inline arithmetic as
-        # :meth:`StreamPlan.owner_ids` (the AS plan is needed here for
-        # its asn, so the shared batch helper cannot be reused), with a
-        # window-local rotation cache so each AS's churn map is fetched
-        # once per window rather than once per address.
-        stream_plan = self.plan
-        by_v4_prefix = stream_plan._by_v4_prefix.get
-        plans = stream_plan.plans
-        n_plans = len(plans)
-        block = stream_plan.block
-        churned = set(versions)
+        pool_flags = self._pool_flags
+        plans = self.plan.plans
+        id_bases = self.plan._id_bases
+        bisect_right = bisect.bisect_right
         maps: "dict[tuple[int, int], dict[IPAddress, int]]" = {}
         out: "list[int | None]" = []
         append = out.append
-        for address in addresses:
-            addr_int = int(address)
-            version = address.version
-            if version == 4:
-                plan = by_v4_prefix(addr_int >> 16)
-                if plan is None:
-                    append(None)
-                    continue
-                offset = addr_int & 0xFFFF
-                if offset < 1:
-                    append(None)
-                    continue
-                index = (offset - 1) // block
-            else:
-                if addr_int < _V6_ORIGIN:
-                    append(None)
-                    continue
-                as_index = (addr_int - _V6_ORIGIN) >> 96
-                if as_index >= n_plans:
-                    append(None)
-                    continue
-                plan = plans[as_index]
-                index = (addr_int >> 64) & 0xFFFFFFFF
-            if index >= plan.n_devices:
+        for address, slot_id in zip(addresses, slot_ids):
+            if slot_id is None or pool_flags[slot_id] == 2:
                 append(None)
                 continue
-            owner = plan.device_id_base + index
-            if version in churned:
-                key = (version, plan.asn)
-                rotation = maps.get(key)
-                if rotation is None:
-                    rotation = self.churn_map(version, plan.asn)
-                    maps[key] = rotation
-                new_owner = rotation.get(address)
-                if new_owner is not None:
-                    owner = new_owner
-            append(owner)
+            version = address.version
+            if version not in versions:
+                append(None)
+                continue
+            key = (version, plans[bisect_right(id_bases, slot_id) - 1].asn)
+            rotation = maps.get(key)
+            if rotation is None:
+                rotation = maps[key] = self.churn_map(*key)
+            append(rotation.get(address))
         return out
 
     def binding_of(self, address: IPAddress) -> "Device | None":
-        """The device answering SNMP at ``address``, or ``None``.
+        """The device answering SNMP at ``address``, or ``None``."""
+        return self.bindings_of([address])[0]
+
+    def bindings_of(self, addresses: "list[IPAddress]") -> "list[Device | None]":
+        """The device answering SNMP at each address, or ``None``.
 
         Mirrors the eager campaign's binding rules: open devices bind
         their reachable interfaces; churned addresses rebind to the
-        rotated pool member unconditionally.  Fast-rejects through the
-        membership record — most swept addresses are unbound, closed or
-        ACL-filtered, and those answers never materialize a device.
+        rotated pool member unconditionally.  Closed slots are rejected
+        by ``_openness`` and open ones by their membership record, so
+        only a device that some address reaches is derived.  Each device
+        is looked up once per call and answers every address it binds
+        with the same object: the executor calls this once per shard, so
+        the residency cache sees one access per device and shard.
         """
-        slot = self.plan.locate(address)
-        if slot is None:
-            return None
-        for version in self._churn_versions:
-            if version != address.version:
-                continue
-            new_owner = self.churn_map(version, slot.asn).get(address)
-            if new_owner is not None:
-                return self.device_for_id(new_owner)
-        if self._openness[slot.device_id] == 2:
-            return None
-        packed = self._memberships.get(slot.device_id)
-        if packed is None:
-            membership = self._derive_membership_record(slot)
-            if not membership.snmp_open:
-                return None
-            for interface in membership.interfaces:
-                if interface.address == address:
-                    if not interface.snmp_reachable:
-                        return None
-                    return self.device_at(slot)
-            return None
-        # Packed fast path: answer the per-probe question — open, bound
-        # here, reachable — straight off the cached bytes, constructing
-        # no record and no address objects.
-        if not packed[0] & 1:  # type: ignore[index]
-            return None
-        target = int(address)
-        want_v6 = 2 if address.version == 6 else 0
-        for pos in range(1, len(packed), 17):  # type: ignore[arg-type]
-            meta = packed[pos]  # type: ignore[index]
-            if (meta & 2) == want_v6 and target == int.from_bytes(
-                packed[pos + 1:pos + 17], "big"  # type: ignore[index]
-            ):
-                if not meta & 1:
-                    return None
-                return self.device_at(slot)
-        return None
-
-    def open_device_ids(self, device_ids: "Iterable[int]") -> "list[int]":
-        """Subset of ``device_ids`` whose slots can answer SNMP.
-
-        The executor's shard snapshot filter: a closed device's agent is
-        never invoked (``binding_of`` rejects it before materialization),
-        so its snapshot/restore pair is a no-op and can be skipped
-        without touching byte-identity.  Unknown slots derive their
-        membership record here — work ``binding_of`` would do for the
-        same shard's probes anyway, just paid at plan time.
-        """
+        slot_ids = self.plan.slot_ids(addresses)
+        rotated = (
+            self._rotated_owners(addresses, slot_ids)
+            if self._churn_versions
+            else None
+        )
         openness = self._openness
-        out: "list[int]" = []
+        answering: "dict[int, frozenset[int]]" = {}
+        found: "dict[int, Device]" = {}
+        out: "list[Device | None]" = []
         append = out.append
-        slot_of = self.plan.slot_of_device_id
-        for device_id in device_ids:
-            flag = openness[device_id]
-            if flag == 0:
-                slot = slot_of(device_id)
-                if slot is None:
+        for position, slot_id in enumerate(slot_ids):
+            owner = None if rotated is None else rotated[position]
+            if owner is None:
+                if slot_id is None or openness[slot_id] == 2:
+                    append(None)
                     continue
-                flag = 1 if self.membership_at(slot).snmp_open else 2
-            if flag == 1:
-                append(device_id)
+                reachable = answering.get(slot_id)
+                if reachable is None:
+                    reachable = answering[slot_id] = self._answering_at(slot_id)
+                if int(addresses[position]) not in reachable:
+                    append(None)
+                    continue
+                owner = slot_id
+            device = found.get(owner)
+            if device is None:
+                device = found[owner] = self.device_for_id(owner)  # type: ignore[assignment]
+            append(device)
         return out
+
+    def _answering_at(self, device_id: int) -> "frozenset[int]":
+        """The addresses, as integers, at which slot ``device_id`` answers.
+
+        Its reachable interfaces when it is SNMP-open, none when closed.
+        One set serves both families: every IPv6 slot address lies at or
+        above ``_V6_ORIGIN``, far above the IPv4 space.
+        """
+        packed = self._memberships.get(device_id)
+        if packed is None:
+            slot = self.plan.slot_of_device_id(device_id)
+            record = self._derive_membership_record(slot)  # type: ignore[arg-type]
+            if not record.snmp_open:
+                return frozenset()
+            return frozenset(
+                int(interface.address)
+                for interface in record.interfaces
+                if interface.snmp_reachable
+            )
+        if not packed[0] & 1:  # type: ignore[index]
+            return frozenset()
+        return frozenset(
+            int.from_bytes(packed[pos + 1:pos + 17], "big")  # type: ignore[index]
+            for pos in range(1, len(packed), 17)  # type: ignore[arg-type]
+            if packed[pos] & 1  # type: ignore[index]
+        )
 
     def device_of_address(self, address: IPAddress) -> "Device | None":
         """Ground truth including churn overlays (``Topology`` parity)."""

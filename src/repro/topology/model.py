@@ -10,11 +10,14 @@ from __future__ import annotations
 import enum
 import ipaddress
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.net.addresses import IPAddress
 from repro.snmp.agent import SnmpAgent
 from repro.snmp.engine_id import EngineId
+
+if TYPE_CHECKING:
+    from repro.net.packet import Datagram
 
 
 class Region(enum.Enum):
@@ -80,6 +83,18 @@ class Device:
     @property
     def engine_id(self) -> EngineId:
         return self.agent.engine_id
+
+    def snmp_handler(self) -> "Callable[[Datagram, float], list[bytes]]":
+        """The fabric handler this device answers SNMP with.
+
+        A load-balancer VIP answers through its ``AgentPool`` (the
+        scheduling policy picks a backend engine); every other device
+        answers with its own agent.  Each call returns a new bound
+        method.
+        """
+        if self.agent_pool is not None:
+            return self.agent_pool.handle_datagram  # type: ignore[attr-defined]
+        return self.agent.handle_datagram
 
     @property
     def ipv4_interfaces(self) -> list[Interface]:

@@ -174,6 +174,33 @@ class TestPublish:
         for name, data in trees[0].items():
             assert data == trees[1][name], name
 
+    def test_lazy_scan_bytes_ignore_the_hash_seed_and_workers(self, tmp_path):
+        """A lazy scan resolves each shard's devices at run time; neither
+        the interpreter's string hashing nor the worker count may reach
+        a scanned byte."""
+        src = str(Path(repro.__file__).parents[1])
+        runs = {}
+        for workers in ("1", "2"):
+            for hash_seed in ("1", "2"):
+                out_dir = tmp_path / f"w{workers}-h{hash_seed}"
+                subprocess.run(
+                    [sys.executable, "-m", "repro.cli", "scan", "--lazy",
+                     "--scale", "4000", "--seed", "3", "--workers", workers,
+                     "--out", str(out_dir)],
+                    env={**os.environ, "PYTHONPATH": src,
+                         "PYTHONHASHSEED": hash_seed},
+                    check=True, capture_output=True, timeout=300,
+                )
+                runs[out_dir.name] = {
+                    label: (out_dir / f"scan-{label}.jsonl").read_bytes()
+                    for label in SCAN_LABELS
+                }
+        first = runs.pop("w1-h1")
+        assert all(first.values())
+        for name, files in runs.items():
+            for label in SCAN_LABELS:
+                assert files[label] == first[label], (name, label)
+
 
 class TestReport:
     def test_report_to_file(self, tmp_path):

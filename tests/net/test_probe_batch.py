@@ -6,7 +6,9 @@ the same RNG draws, bumps the same counters and produces the same reply
 bytes at the same arrival times as injecting the probes one
 :class:`Datagram` at a time.  These tests pin that equivalence across
 every adversarial agent personality, fault profile, and fabric feature
-(ACLs, per-address link profiles, unbound targets, load balancers).
+(ACLs, per-address link profiles, unbound targets, load balancers), and
+whether each probe's handler is bound on the fabric or handed in
+aligned with the probes, as a lazy world's shard resolves them.
 """
 
 from __future__ import annotations
@@ -43,8 +45,13 @@ def engine_id(tag: int) -> EngineId:
     return EngineId(bytes([0x80, 0, 0, 9, 3, 0, 0, 0, 0, 0, tag]))
 
 
-def build_fabric(fault_profile: "str | None", balancer: "str | None" = None):
-    """One deterministic fabric + agent set; call twice for twin copies."""
+def build_fabric(fault_profile: "str | None", balancer: "str | None" = None,
+                 handlers: "dict | None" = None):
+    """One deterministic fabric + agent set; call twice for twin copies.
+
+    With ``handlers``, each endpoint's handler goes into that dict
+    instead of being bound; ACLs and link profiles are set either way.
+    """
     fabric = NetworkFabric(
         seed=0xFAB,
         default_profile=LinkProfile(
@@ -52,13 +59,20 @@ def build_fabric(fault_profile: "str | None", balancer: "str | None" = None):
         ),
         fault_profile=fault_profile,
     )
+
+    def attach(address, handler):
+        if handlers is None:
+            fabric.bind(address, "udp", SNMP_PORT, handler)
+        else:
+            handlers[address] = handler
+
     targets = []
     for index, behavior in enumerate(PERSONALITIES.values()):
         address = parse_ip(f"198.51.100.{index + 1}")
         agent = SnmpAgent(
             engine_id=engine_id(index + 1), boot_time=-1000.0, behavior=behavior
         )
-        fabric.bind(address, "udp", SNMP_PORT, agent.handle_datagram)
+        attach(address, agent.handle_datagram)
         targets.append(address)
     # A slow-lossy link profile on one address exercises the per-target
     # profile lookup inside the batch loop.
@@ -69,7 +83,7 @@ def build_fabric(fault_profile: "str | None", balancer: "str | None" = None):
     # RNG draws on either path.
     acl_address = parse_ip("198.51.100.200")
     agent = SnmpAgent(engine_id=engine_id(0xC8), boot_time=-5.0)
-    fabric.bind(acl_address, "udp", SNMP_PORT, agent.handle_datagram)
+    attach(acl_address, agent.handle_datagram)
     fabric.set_acl(acl_address, AccessControlList(blocked_ports=frozenset({SNMP_PORT})))
     targets.append(acl_address)
     targets.append(parse_ip("198.51.100.201"))  # unbound
@@ -82,7 +96,7 @@ def build_fabric(fault_profile: "str | None", balancer: "str | None" = None):
             ],
             policy=BalancingPolicy[balancer],
         )
-        fabric.bind(pool_address, "udp", SNMP_PORT, pool.handle_datagram)
+        attach(pool_address, pool.handle_datagram)
         targets.append(pool_address)
     return fabric, targets
 
@@ -114,7 +128,7 @@ def deliver_sequentially(fabric, plan):
     return replies, view.stats
 
 
-def deliver_batched(fabric, plan, with_hints: bool):
+def deliver_batched(fabric, plan, with_hints: bool, handlers=None):
     view = fabric.shard_view(seed=42)
     replies = view.inject_probe_batch(
         SOURCE,
@@ -124,31 +138,45 @@ def deliver_batched(fabric, plan, with_hints: bool):
         [payload for _, payload, *_ in plan],
         [send_time for *_, send_time, _ in plan],
         [msg_id for *_, msg_id in plan] if with_hints else None,
+        handlers=(
+            None
+            if handlers is None
+            else [handlers.get(target) for target, *_ in plan]
+        ),
     )
     return replies, view.stats
+
+
+def batch_twins(fault_profile, balancer=None):
+    """Batch-side fabrics with bound endpoints, then with handed-in ones."""
+    for handlers in (None, {}):
+        fabric, _ = build_fabric(fault_profile, balancer, handlers)
+        yield fabric, handlers
 
 
 @pytest.mark.parametrize("fault_profile", [None, "conformance", "rate-limited", "chaos"])
 @pytest.mark.parametrize("with_hints", [True, False])
 def test_batch_equals_sequential_across_personalities(fault_profile, with_hints):
     fabric_a, targets = build_fabric(fault_profile)
-    fabric_b, _ = build_fabric(fault_profile)
     plan = probe_plan(targets)
     sequential, stats_a = deliver_sequentially(fabric_a, plan)
-    batched, stats_b = deliver_batched(fabric_b, plan, with_hints)
-    assert batched == sequential
-    assert stats_b == stats_a
+    for fabric_b, handlers in batch_twins(fault_profile):
+        batched, stats_b = deliver_batched(fabric_b, plan, with_hints, handlers)
+        assert batched == sequential, handlers is not None
+        assert stats_b == stats_a, handlers is not None
 
 
 @pytest.mark.parametrize("policy", ["ROUND_ROBIN", "SOURCE_HASH"])
 def test_batch_preserves_load_balancer_scheduling(policy):
     fabric_a, targets = build_fabric("chaos", balancer=policy)
-    fabric_b, _ = build_fabric("chaos", balancer=policy)
     plan = probe_plan(targets)
     sequential, stats_a = deliver_sequentially(fabric_a, plan)
-    batched, stats_b = deliver_batched(fabric_b, plan, with_hints=True)
-    assert batched == sequential
-    assert stats_b == stats_a
+    for fabric_b, handlers in batch_twins("chaos", balancer=policy):
+        batched, stats_b = deliver_batched(
+            fabric_b, plan, with_hints=True, handlers=handlers
+        )
+        assert batched == sequential, handlers is not None
+        assert stats_b == stats_a, handlers is not None
 
 
 def test_single_probe_batches_match_too():

@@ -2,8 +2,9 @@
 
 The streamed campaign path never materializes a scan's target list: the
 executor pulls targets through planning windows, and on a lazy topology
-devices come into existence only when the fabric resolver first needs
-them.  These tests pin the properties that make that safe:
+it resolves each shard's targets at shard start, deriving only the
+devices a probe reaches.  These tests pin the properties that make that
+safe:
 
 * the full four-scan campaign — including the inter-scan reboot window
   and per-family DHCP churn — matches its golden digest (the churn
@@ -13,6 +14,8 @@ them.  These tests pin the properties that make that safe:
   count, is part of the deterministic result geometry);
 * the residency cap genuinely bounds live devices while changing nothing,
   and peak RSS stays flat while a lazy campaign's targets grow tenfold;
+* a scan derives only devices that answer its family, and the residency
+  cache serves the second scan of a pair;
 * ground truth on lazy campaigns is queried from the topology
   (``result.bindings`` stays empty by contract).
 
@@ -33,8 +36,10 @@ import pytest
 
 from repro.scanner.campaign import SCAN_LABELS, ScanCampaign
 from repro.scanner.executor import ExecutionOptions
+from repro.topology import lazy as lazy_module
 from repro.topology.config import TopologyConfig
 from repro.topology.lazy import LazyTopology
+from repro.topology.model import DeviceType
 
 DIVISOR = 4000.0
 SEED = 1177
@@ -210,17 +215,60 @@ def test_residency_cap_bounds_live_devices():
     assert lazy.device_count > 512  # the cap must actually bite
     result = run_streamed(lazy, config, target_window=2048)
     assert scans_digest(result) == GOLDEN["residency-cap"]
-    # Two strong-reference pools each honour the cap (the topology's
-    # recent-derivation window and the campaign's resolved-handler
-    # cache), so residency is bounded by twice the knob — O(cap), never
+    # The topology's residency cache honours the cap, and a shard holds
+    # only the devices its probes reach, so residency is O(cap), never
     # O(world).
     assert lazy.peak_resident <= 2 * lazy.max_resident
     assert lazy.peak_resident < lazy.device_count
     # Eviction forced re-derivation (the materialized working set
     # exceeded the cap); correctness came from purity, not from keeping
-    # state alive.  Derivations stay below the device count because the
-    # snapshot filter keeps closed devices from ever materializing.
+    # state alive.
     assert lazy.derivations > lazy.max_resident
+
+
+def test_scans_derive_only_answering_devices_and_reuse_the_cache(monkeypatch):
+    """Each scan derives only SNMP-open devices with a reachable
+    interface of its family — a device no probe reaches costs nothing —
+    and the residency cache, which sees each device once per shard,
+    serves the second scan of a pair.  Load balancers are exempt from
+    the first check: their membership record has no cheap prefix, so
+    the hitlist walk derives them whole."""
+    config = TopologyConfig.streamed(divisor=1000.0, seed=2021)
+    lazy = LazyTopology(config=config, max_resident=512)
+    assert lazy.device_count > 2 * lazy.max_resident
+    derived: "dict[str, list[tuple]]" = {label: [] for label in SCAN_LABELS}
+    scanning: "list[str]" = []
+    real_derive = lazy_module.derive_device
+
+    def recording_derive(*args, **kwargs):
+        device = real_derive(*args, **kwargs)
+        # Facts only: holding the device would keep it resident.
+        derived[scanning[-1]].append((
+            device.device_id,
+            device.device_type,
+            device.snmp_open,
+            {i.version for i in device.interfaces if i.snmp_reachable},
+        ))
+        return device
+
+    monkeypatch.setattr(lazy_module, "derive_device", recording_derive)
+    campaign = ScanCampaign(
+        topology=lazy, config=config, options=ExecutionOptions()
+    )
+    for stream in campaign.run_streaming():
+        scanning.append(stream.label)
+        for __ in stream.batches():
+            pass
+    for label in SCAN_LABELS:
+        version = int(label[1])
+        assert derived[label], label
+        for device_id, device_type, snmp_open, families in derived[label]:
+            if device_type is DeviceType.LOAD_BALANCER:
+                continue
+            assert snmp_open and version in families, (label, device_id)
+    counts = {label: len(derived[label]) for label in SCAN_LABELS}
+    assert counts["v6-2"] <= counts["v6-1"] // 2, counts
+    assert counts["v4-2"] < counts["v4-1"], counts
 
 
 #: One lazy campaign in a fresh interpreter, so its peak RSS is that

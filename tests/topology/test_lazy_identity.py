@@ -166,9 +166,9 @@ def test_campaign_identity_with_adversarial_agents_and_retries():
     assert got == GOLDEN["adversarial-retries"]
     # The cap genuinely bit: the materialized working set exceeded the
     # residency cap (so eviction and re-derivation happened mid-campaign)
-    # while residency stayed O(cap) (topology window + handler cache).
-    # Derivations stay *below* the device count because the snapshot
-    # filter keeps closed devices from ever materializing.
+    # while residency stayed O(cap) (the topology's residency cache plus
+    # one shard's answering devices).  Derivations stay *below* the
+    # device count because only devices a probe reaches are derived.
     assert lazy.peak_resident <= 2 * lazy.max_resident
     assert lazy.derivations > lazy.max_resident
 

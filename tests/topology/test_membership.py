@@ -10,6 +10,9 @@ edit to the generator's draw order fails loudly here.
 
 from __future__ import annotations
 
+import ipaddress
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from repro.topology import timeline
@@ -136,14 +139,23 @@ EPOCHS = st.sampled_from([
 ])
 
 
+#: Addresses no AS owns, one per family.
+OUTSIDE = [ipaddress.ip_address("192.0.2.1"), ipaddress.ip_address("2001:db8::1")]
+
+
 @settings(max_examples=8, deadline=None)
-@given(seed=SEEDS, epoch=EPOCHS, churned=st.booleans())
-def test_binding_agrees_with_eager_materialization_across_epochs(seed, epoch, churned):
+@given(seed=SEEDS, epoch=EPOCHS, churned=st.booleans(), batch=st.booleans())
+def test_binding_agrees_with_eager_materialization_across_epochs(
+    seed, epoch, churned, batch
+):
     """Fast-rejecting through membership must not change what a probe
     observes at any clock epoch: a view that materializes every device
     *before* the clock advances and a view that materializes lazily
     (after membership fast-rejection) bind every address identically,
-    including agent reboot state.
+    including agent reboot state, and both follow the eager binding
+    rules over the pinned devices.  The lazy view answers either one
+    address at a time or in one ``bindings_of`` batch, in shuffled
+    order, as a shard resolves its probes.
     """
     config = make_config(seed)
     lazy_view = LazyTopology(config=config)
@@ -154,9 +166,44 @@ def test_binding_agrees_with_eager_materialization_across_epochs(seed, epoch, ch
             view.activate_churn(4)
             view.activate_churn(6)
         view.advance_clock(epoch)
-    for address in lazy_view.plan.iter_v4_targets():
-        assert binding_state(lazy_view.binding_of(address)) == \
-            binding_state(eager_view.binding_of(address))
+    # The eager rules: open devices bind their reachable interfaces, and
+    # each churned address binds its rotated pool member.
+    bound = {
+        interface.address: device
+        for device in pinned
+        if device.snmp_open
+        for interface in device.interfaces
+        if interface.snmp_reachable
+    }
+    if churned:
+        by_id = {device.device_id: device for device in pinned}
+        for version in (4, 6):
+            for as_plan in eager_view.plan.plans:
+                members = [d for d in pinned if d.asn == as_plan.asn]
+                rotation = derive_churn_rotation(seed, version, members)
+                for address, new_owner in rotation.items():
+                    bound[address] = by_id[new_owner]
+    addresses = [
+        *lazy_view.plan.iter_v4_targets(),
+        *(
+            interface.address
+            for device in pinned
+            for interface in device.interfaces
+            if interface.version == 6
+        ),
+        *OUTSIDE,
+    ]
+    assert all(lazy_view.plan.locate(address) is None for address in OUTSIDE)
+    if batch:
+        random.Random(seed).shuffle(addresses)
+        answers = lazy_view.bindings_of(addresses)
+    else:
+        answers = [lazy_view.binding_of(address) for address in addresses]
+    assert len(answers) == len(addresses)
+    for address, device in zip(addresses, answers):
+        expected = binding_state(bound.get(address))
+        assert binding_state(device) == expected, address
+        assert binding_state(eager_view.binding_of(address)) == expected, address
     assert pinned  # keep every eager device strongly referenced throughout
     # The fast path really avoided materializing the closed majority.
     assert lazy_view.derivations < eager_view.derivations
