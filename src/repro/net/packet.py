@@ -19,6 +19,11 @@ _IPV6_HEADER = 40
 _UDP_HEADER = 8
 
 
+def header_size(version: int) -> int:
+    """IP plus UDP header bytes of a datagram of IP ``version``."""
+    return (_IPV4_HEADER if version == 4 else _IPV6_HEADER) + _UDP_HEADER
+
+
 @dataclass(frozen=True)
 class Datagram:
     """A UDP datagram in flight on the simulated fabric."""
@@ -48,8 +53,7 @@ class Datagram:
     @property
     def wire_size(self) -> int:
         """On-the-wire packet size in bytes including IP and UDP headers."""
-        ip_header = _IPV4_HEADER if self.version == 4 else _IPV6_HEADER
-        return ip_header + _UDP_HEADER + len(self.payload)
+        return header_size(self.version) + len(self.payload)
 
     def reply(self, payload: bytes, sent_at: "float | None" = None, ttl: int = 64) -> "Datagram":
         """Build the response datagram with src/dst and ports swapped."""

@@ -42,7 +42,7 @@ from repro.net.faults import (
     resolve_fault_profile,
     truncate_payload,
 )
-from repro.net.packet import Datagram
+from repro.net.packet import Datagram, header_size
 
 #: A bound endpoint: receives the datagram and the virtual receive time,
 #: returns reply payloads (possibly empty, possibly several for buggy
@@ -422,7 +422,7 @@ class NetworkFabric:
             ]
         faults = self._fault_profile
         rand = rng.random
-        header_size = (20 if source.version == 4 else 40) + 8
+        header = header_size(source.version)
         if faults is not None:
             rate_limit = faults.rate_limit
             duplicate_p = faults.duplicate_probability
@@ -447,7 +447,7 @@ class NetworkFabric:
                 payload = payloads[index]
                 now = send_times[index]
                 injected += 1
-                probe_bytes += header_size + len(payload)
+                probe_bytes += header + len(payload)
                 entry = entries[index]
                 if entry is None:
                     no_endpoint += 1
@@ -542,7 +542,7 @@ class NetworkFabric:
                         return_delay = (
                             profile.base_latency / 2 + rand() * profile.jitter / 2
                         )
-                        wire_size = header_size + len(final_payload)
+                        wire_size = header + len(final_payload)
                         append_reply(
                             (final_payload, arrival + extra_delay + return_delay,
                              wire_size)
@@ -628,6 +628,23 @@ class FabricView:
             datagram, now, protocol, self._rng, self.stats, self._buckets,
             self.timed,
         )
+
+    def count_unanswered(
+        self, ip_version: int, count: int, payload_bytes: int
+    ) -> None:
+        """Count ``count`` probes that nothing answers, as delivery would.
+
+        Delivering a probe to an address with no endpoint counts it as
+        injected, adds its wire bytes (``payload_bytes`` is the payload
+        of all ``count`` probes) and counts the missing endpoint; it
+        draws no random number and touches no ACL or token bucket.  A
+        caller that already knows nothing answers books the probes here
+        instead of encoding and delivering them.
+        """
+        stats = self.stats
+        stats.injected += count
+        stats.dropped_no_endpoint += count
+        stats.probe_bytes += count * header_size(ip_version) + payload_bytes
 
     def inject_probe_batch(
         self,

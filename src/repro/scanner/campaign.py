@@ -38,9 +38,10 @@ or a loaded topology file) binds every fabric endpoint up front and rolls
 reboots and churn from the campaign RNG.  A
 :class:`~repro.topology.lazy.LazyTopology` (the streamed layout,
 ``TopologyConfig(layout="streamed")``) never materializes the world and
-binds nothing: the executor resolves each shard's targets once, at shard
-start (:meth:`~repro.topology.lazy.LazyTopology.bindings_of`), and
-derives only the devices a probe reaches; reboot/churn events are pure
+binds nothing: the executor resolves each planning window once
+(:meth:`~repro.topology.lazy.LazyTopology.resolve_window`), counts the
+probes nothing answers without sending them, and derives only the
+devices a probe reaches; reboot/churn events are pure
 functions of ``(seed, device, address)``, dataset membership is a
 per-address roll, and targets stream through the windowed executor
 (``execute_stream``), so peak memory is bounded by one planning window.
@@ -53,7 +54,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.net.addresses import IPAddress
 from repro.net.transport import LinkProfile, NetworkFabric
@@ -77,6 +78,9 @@ from repro.topology.datasets import (
 )
 from repro.topology.lazy import CHURN_PROBABILITY, LazyTopology, lb_cursor
 from repro.topology.model import Topology
+
+if TYPE_CHECKING:
+    from repro.scanner.executor import WindowResolver
 
 #: Scan labels in chronological order.
 SCAN_LABELS = ("v6-1", "v6-2", "v4-1", "v4-2")
@@ -336,7 +340,7 @@ class ScanCampaign:
 
         A lazy world has almost nothing to set up: dataset membership,
         reboot times and churn are pure functions, and nothing is bound
-        on the fabric — the executor resolves each shard's targets.
+        on the fabric — the executor resolves each planning window.
         """
         if self._lazy:
             datasets = StreamedRouterDatasets(
@@ -373,14 +377,15 @@ class ScanCampaign:
 
     def _make_executor(self) -> ShardedScanExecutor:
         owner_of: "Callable[[IPAddress], int | None]"
-        owner_of_batch: "Callable[[list[IPAddress]], list[int | None]]"
+        resolve_window: "WindowResolver"
         if self._lazy:
-            # Plan arithmetic plus the derived churn overlays.
+            # Plan arithmetic, the derived churn overlays and the packed
+            # membership records, in one pass per planning window.
             owner_of = self.topology.owner_of  # type: ignore[union-attr]
-            owner_of_batch = self.topology.owners_of  # type: ignore[union-attr]
+            resolve_window = self.topology.resolve_window  # type: ignore[union-attr]
         else:
             owner_of = self._owner_map.get
-            owner_of_batch = self._owner_map_owners
+            resolve_window = self._resolve_window
 
         return ShardedScanExecutor(
             fabric=self._fabric,
@@ -388,10 +393,7 @@ class ScanCampaign:
             owner_of=owner_of,
             options=self.options,
             seed=self.topology.seed,
-            owner_of_batch=owner_of_batch,
-            bindings_of=(
-                self.topology.bindings_of if self._lazy else None  # type: ignore[union-attr]
-            ),
+            resolve_window=resolve_window,
         )
 
     def _execute_scan(
@@ -460,7 +462,7 @@ class ScanCampaign:
         An eager world rolls churn from the campaign RNG over the live
         binding map and rebinds the fabric; a lazy world derives it per
         AS from per-address pure functions, as an ownership overlay
-        consulted when each window is planned and each shard resolved.
+        consulted when each window is resolved.
         """
         if self._lazy:
             self.topology.activate_churn(version)  # type: ignore[union-attr]
@@ -523,8 +525,11 @@ class ScanCampaign:
 
     # -- ownership ------------------------------------------------------------------
 
-    def _owner_map_owners(
+    def _resolve_window(
         self, addresses: "list[IPAddress]"
-    ) -> "list[int | None]":
-        """Eager-world batch ownership: one C-speed map over the dict."""
-        return list(map(self._owner_map.get, addresses))
+    ) -> "tuple[list[int | None], None]":
+        """Eager-world batch ownership: one C-speed map over the dict.
+
+        Nothing to name as answering: the fabric's bound endpoints are.
+        """
+        return list(map(self._owner_map.get, addresses)), None

@@ -50,10 +50,17 @@ from repro.scanner.pipeline import probe_targets_pipelined
 from repro.scanner.pool import MSG_METRICS, WorkerPool
 from repro.scanner.records import ScanObservation, ScanResult
 from repro.scanner.wire import decode_observations
+from repro.snmp.messages import DiscoveryProbeTemplate
 
 if TYPE_CHECKING:
     from repro.net.faults import FaultProfile
     from repro.topology.model import Device
+
+    #: Resolves a planning window in one call: each target's owner and,
+    #: in a world that binds nothing on the fabric, its answering device.
+    WindowResolver = Callable[
+        [list[IPAddress]], tuple[list[int | None], list[int | None] | None]
+    ]
 
 #: Default shard count.  Fixed independently of the worker count: the
 #: shard plan (and with it every RNG stream) must not change when the
@@ -203,13 +210,23 @@ class ShardSpec:
     ``items`` are ``(global_index, target)`` pairs — the global index
     preserves each probe's msg_id and virtual send slot from the full
     permutation, so shard composition never changes wire contents.
-    ``device_ids`` are the owners whose agent state the shard snapshots.
+    ``device_ids`` are the devices whose agent state the shard
+    snapshots.  In a world that binds its endpoints on the fabric they
+    are every owner of the shard's targets.  In one that binds none (a
+    lazy topology) ``answering`` names the device answering each item
+    (``None``: nothing does), and ``device_ids`` are those devices in
+    order of first probe.  ``unanswered`` counts the probes nothing
+    answers that planning kept out of ``items``, and ``unanswered_bytes``
+    is their payload.
     """
 
     index: int
     seed: int
     items: tuple[tuple[int, IPAddress], ...]
     device_ids: tuple[int, ...]
+    answering: "tuple[int | None, ...] | None" = None
+    unanswered: int = 0
+    unanswered_bytes: int = 0
 
 
 def shard_seed(base_seed: int, label: str, shard_index: int) -> int:
@@ -265,6 +282,8 @@ def plan_shards(
     owner_of: "Callable[[IPAddress], int | None]",
     base_index: int = 0,
     owners: "list[int | None] | None" = None,
+    answering: "list[int | None] | None" = None,
+    tally_unanswered: bool = False,
 ) -> list[ShardSpec]:
     """Partition a target list into deterministic shards.
 
@@ -284,6 +303,13 @@ def plan_shards(
     sweep) resolve whole windows at once instead of paying a Python call
     per target.  Ownership is a pure function during planning, so the
     plan is byte-identical either way.
+
+    ``answering``, aligned the same way, names the device that answers
+    each target (``None``: nothing does), for a world that binds no
+    endpoint on the fabric; each shard then carries its items' ids (see
+    :class:`ShardSpec`).  With ``tally_unanswered`` a probe nothing
+    answers never becomes an item: its shard counts it and its probe's
+    payload bytes, which is all delivery would do with it.
     """
     count = len(targets)
     # Permute positions, not targets: Fisher-Yates depends only on the
@@ -299,31 +325,66 @@ def plan_shards(
         raise ValueError(
             f"owners carries {len(owners)} entries for {count} targets"
         )
+    if answering is not None and len(answering) != count:
+        raise ValueError(
+            f"answering carries {len(answering)} entries for {count} targets"
+        )
     buckets: list[list[tuple[int, IPAddress]]] = [[] for __ in range(num_shards)]
     appends = [bucket.append for bucket in buckets]
-    # Shard membership of *devices* is permutation-independent, so the
-    # per-shard owner sets come from one C-speed dedup over the owners
-    # column instead of a set-add per target in the hot loop below.
-    owner_sets: list[set[int]] = [set() for __ in range(num_shards)]
-    for device_id in set(owners):
-        if device_id is not None:
-            owner_sets[device_id % num_shards].add(device_id)
-    permuted = zip(
-        map(targets.__getitem__, order), map(owners.__getitem__, order)
-    )
-    for position, pair in enumerate(permuted, start=base_index):
-        target, device_id = pair
-        if device_id is None:
-            shard = int(target) % num_shards
-        else:
-            shard = device_id % num_shards
-        appends[shard]((position, target))
+    unanswered = [0] * num_shards
+    unanswered_bytes = [0] * num_shards
+    permuted_targets = map(targets.__getitem__, order)
+    permuted_owners = map(owners.__getitem__, order)
+    columns: "list[list[int | None]] | None" = None
+    if answering is None:
+        # Shard membership of *devices* is permutation-independent, so
+        # the per-shard owner sets come from one C-speed dedup over the
+        # owners column instead of a set-add per target in the loop.
+        owner_sets: list[set[int]] = [set() for __ in range(num_shards)]
+        for device_id in set(owners):
+            if device_id is not None:
+                owner_sets[device_id % num_shards].add(device_id)
+        permuted = zip(permuted_targets, permuted_owners)
+        for position, pair in enumerate(permuted, start=base_index):
+            target, device_id = pair
+            if device_id is None:
+                shard = int(target) % num_shards
+            else:
+                shard = device_id % num_shards
+            appends[shard]((position, target))
+        device_ids = [tuple(sorted(owner_set)) for owner_set in owner_sets]
+    else:
+        columns = [[] for __ in range(num_shards)]
+        column_appends = [column.append for column in columns]
+        probe_size = DiscoveryProbeTemplate().probe_size
+        permuted = zip(
+            permuted_targets, permuted_owners, map(answering.__getitem__, order)
+        )
+        for position, triple in enumerate(permuted, start=base_index):
+            target, owner, answered_by = triple
+            if owner is None:
+                shard = int(target) % num_shards
+            else:
+                shard = owner % num_shards
+            if answered_by is None and tally_unanswered:
+                unanswered[shard] += 1
+                unanswered_bytes[shard] += probe_size(position + 1)
+                continue
+            appends[shard]((position, target))
+            column_appends[shard](answered_by)
+        device_ids = [
+            tuple(d for d in dict.fromkeys(column) if d is not None)
+            for column in columns
+        ]
     return [
         ShardSpec(
             index=i,
             seed=shard_seed(seed, label, i),
             items=tuple(buckets[i]),
-            device_ids=tuple(sorted(owner_sets[i])),
+            device_ids=device_ids[i],
+            answering=None if columns is None else tuple(columns[i]),
+            unanswered=unanswered[i],
+            unanswered_bytes=unanswered_bytes[i],
         )
         for i in range(num_shards)
     ]
@@ -387,29 +448,19 @@ def _restore_device(device: "Device", snapshot: tuple) -> None:
 
 
 def _shard_handlers(
-    bound: "list[Device | None]",
-) -> "tuple[list[Device], list[Handler | None]]":
-    """A shard's answering devices, and each probe's handler.
+    spec: ShardSpec, devices: "list[Device]"
+) -> "list[Handler | None]":
+    """Each item's handler, in a world that binds nothing on the fabric.
 
-    One handler object per device, shared by every probe it answers and
-    kept alive with the returned list for the whole shard, so the
-    fabric's per-handler owner memo never sees an id reused.  Devices
-    come in order of first probe, never in set or dict order.
+    One handler object per answering device, shared by every probe it
+    answers and kept alive with the returned list for the whole shard,
+    so the fabric's per-handler owner memo never sees an id reused.
     """
-    by_device: "dict[int, Handler]" = {}
-    devices: "list[Device]" = []
-    handlers: "list[Handler | None]" = []
-    append = handlers.append
-    for device in bound:
-        if device is None:
-            append(None)
-            continue
-        handler = by_device.get(device.device_id)
-        if handler is None:
-            handler = by_device[device.device_id] = device.snmp_handler()
-            devices.append(device)
-        append(handler)
-    return devices, handlers
+    by_id: "dict[int | None, Handler | None]" = {None: None}
+    for device_id, device in zip(spec.device_ids, devices):
+        by_id[device_id] = device.snmp_handler()
+    assert spec.answering is not None
+    return list(map(by_id.__getitem__, spec.answering))
 
 
 # -- per-scan wire parameters -------------------------------------------------
@@ -561,19 +612,8 @@ class StreamingScanExecution:
                         )
                 # Per-window plan label: distinct shard RNG seeds and
                 # shuffle permutations per window, like distinct scans.
-                plan = plan_shards(
-                    chunk,
-                    label=f"{params.label}@{window_index}",
-                    num_shards=executor.options.num_shards,
-                    seed=executor.seed,
-                    shuffle_seed=SHUFFLE_SEED,
-                    owner_of=executor._owner_of,
-                    base_index=base_index,
-                    owners=(
-                        None
-                        if executor._owner_of_batch is None
-                        else executor._owner_of_batch(chunk)
-                    ),
+                plan = executor._plan(
+                    chunk, f"{params.label}@{window_index}", base_index
                 )
                 metrics.plan_time += time.perf_counter() - plan_started
                 yield from executor._stream_plan(plan, params, metrics)
@@ -649,13 +689,13 @@ class ShardedScanExecutor:
     """Partitioned, optionally parallel SNMPv3 discovery scanner.
 
     The executor owns no topology — it probes whatever is bound on the
-    ``fabric``, or what ``bindings_of`` resolves for a world that binds
-    nothing up front — but needs the live ``owner_of`` view (address →
-    device id) to co-locate each device's addresses in one shard, and
-    the ``devices`` registry to snapshot/restore agent session state
-    around shard execution.  All come from the campaign, as does
-    ``seed``, the determinism root of every shard plan (campaigns pass
-    ``topology.seed``); ``options`` shapes execution.
+    ``fabric``, or, in a world that binds nothing up front, the devices
+    ``resolve_window`` names — but needs the live ``owner_of`` view
+    (address → device id) to co-locate each device's addresses in one
+    shard, and the ``devices`` registry to snapshot/restore agent
+    session state around shard execution.  All come from the campaign,
+    as does ``seed``, the determinism root of every shard plan
+    (campaigns pass ``topology.seed``); ``options`` shapes execution.
     """
 
     def __init__(
@@ -666,24 +706,20 @@ class ShardedScanExecutor:
         owner_of: "Callable[[IPAddress], int | None] | None" = None,
         options: "ExecutionOptions | None" = None,
         seed: int = 0,
-        owner_of_batch: "Callable[[list[IPAddress]], list[int | None]] | None" = None,
-        bindings_of: "Callable[[list[IPAddress]], list[Device | None]] | None" = None,
+        resolve_window: "WindowResolver | None" = None,
     ) -> None:
         self._fabric = fabric
         self._devices = devices
         self._owner_of = owner_of or (lambda address: None)
-        # Optional batch ownership view: resolves a whole planning window
-        # in one call (plan arithmetic / C-speed dict sweep) instead of
-        # one Python call per target.  Must agree with ``owner_of``
-        # pointwise — the shard plan is built from whichever is present.
-        self._owner_of_batch = owner_of_batch
-        # A world whose endpoints are not bound on the fabric (a lazy
-        # topology) resolves each shard's probes here instead, once per
-        # shard: the device answering each target, or ``None``.  The
-        # shard then snapshots exactly those devices — a device no probe
-        # reaches keeps its agent state — and delivers through their
-        # handlers.
-        self._bindings_of = bindings_of
+        # Optional batch view of a whole planning window in one call
+        # (plan arithmetic / C-speed dict sweep) instead of one Python
+        # call per target: each target's owner, which must agree with
+        # ``owner_of`` pointwise, and — for a world whose endpoints are
+        # not bound on the fabric (a lazy topology) — the device
+        # answering it, or ``None`` for a world that binds them.  Each
+        # shard then snapshots and delivers to exactly the answering
+        # devices; a device no probe reaches keeps its agent state.
+        self._resolve_window = resolve_window
         self.options = options or ExecutionOptions()
         self.seed = seed
 
@@ -715,19 +751,7 @@ class ShardedScanExecutor:
                 )
         params = _scan_params(label, ip_version, start_time, rate_pps)
         plan_started = time.perf_counter()
-        plan = plan_shards(
-            targets,
-            label=label,
-            num_shards=self.options.num_shards,
-            seed=self.seed,
-            shuffle_seed=SHUFFLE_SEED,
-            owner_of=self._owner_of,
-            owners=(
-                None
-                if self._owner_of_batch is None
-                else self._owner_of_batch(targets)
-            ),
-        )
+        plan = self._plan(targets, label)
         execution = ScanExecution(self, plan, params, total_targets=len(targets))
         execution.metrics.plan_time = time.perf_counter() - plan_started
         return execution
@@ -772,6 +796,29 @@ class ShardedScanExecutor:
         ).result()
 
     # -- execution ---------------------------------------------------------
+
+    def _plan(
+        self, targets: "list[IPAddress]", label: str, base_index: int = 0
+    ) -> list[ShardSpec]:
+        """Shard-plan ``targets``, resolving them once through the window
+        view when there is one."""
+        owners = answering = None
+        if self._resolve_window is not None:
+            owners, answering = self._resolve_window(targets)
+        return plan_shards(
+            targets,
+            label=label,
+            num_shards=self.options.num_shards,
+            seed=self.seed,
+            shuffle_seed=SHUFFLE_SEED,
+            owner_of=self._owner_of,
+            base_index=base_index,
+            owners=owners,
+            answering=answering,
+            # A retry policy re-probes a target nothing answers and
+            # counts it toward its device's breaker, so it stays an item.
+            tally_unanswered=not self.options.retry.max_retries,
+        )
 
     def _stream(
         self,
@@ -836,7 +883,9 @@ class ShardedScanExecutor:
         chunks of ``batch_size``, identical on the serial and pooled
         paths — the worker pool ships these exact batches over the pipe.
         """
-        shard = ShardMetrics(shard_index=spec.index, targets=len(spec.items))
+        shard = ShardMetrics(
+            shard_index=spec.index, targets=len(spec.items) + spec.unanswered
+        )
 
         def batches() -> Iterator[list[ScanObservation]]:
             batch: list[ScanObservation] = []
@@ -869,22 +918,24 @@ class ShardedScanExecutor:
 
         Observations are yielded as they are made by the staged pipeline
         of :mod:`repro.scanner.pipeline`.  The shard's fabric view counts
-        into ``shard`` as it delivers, and the pipeline adds its counters
-        and (profile mode) stage seconds; ``observations`` and
-        ``wall_time`` are set on exhaustion.
+        into ``shard``: first the probes planning kept out of the items
+        because nothing answers them, then each probe it delivers.  The
+        pipeline adds its counters and (profile mode) stage seconds;
+        ``observations`` and ``wall_time`` are set on exhaustion.
         """
         shard_started = time.perf_counter()
         options = self.options
         view = self._fabric.shard_view(
             spec.seed, stats=shard, timed=options.profile
         )
-        handlers: "list[Handler | None] | None" = None
-        if self._bindings_of is None:
-            devices = [self._devices[d] for d in spec.device_ids]
-        else:
-            devices, handlers = _shard_handlers(
-                self._bindings_of([target for __, target in spec.items])
+        if spec.unanswered:
+            view.count_unanswered(
+                params.ip_version, spec.unanswered, spec.unanswered_bytes
             )
+        devices = [self._devices[d] for d in spec.device_ids]
+        handlers = (
+            None if spec.answering is None else _shard_handlers(spec, devices)
+        )
         snapshots = [(device, _snapshot_device(device)) for device in devices]
         yielded = 0
         produce = probe_targets_pipelined(

@@ -38,10 +38,12 @@ fast-decode savings still apply.
 The streaming executor path (``execute_stream`` over a target iterator)
 reuses these stages unchanged: each planning window's shards run through
 :func:`probe_targets_pipelined` exactly as a whole-scan plan would.  On
-lazy topologies nothing is bound on the fabric; the executor resolves a
-shard's targets once, at shard start, and the inject stage delivers
-through the ``handlers`` aligned with the shard's items — stage
-boundaries still never change outcomes.
+lazy topologies nothing is bound on the fabric.  The executor resolves
+each planning window once, so a shard's items are the probes some
+device answers (every target under a retry policy), and the inject
+stage delivers through the ``handlers`` aligned with them.  A probe
+nothing answers is counted at shard start and never encoded, which
+changes no outcome: delivering it would only have counted it.
 """
 
 from __future__ import annotations

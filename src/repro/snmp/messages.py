@@ -296,13 +296,15 @@ class DiscoveryProbeTemplate:
     windows of probes with a single join per probe.
 
     Instances are cheap and unshared: the sharded executor builds one per
-    shard run, so fork-pool workers never mutate common state.
+    shard run and one per shard plan, so fork-pool workers never mutate
+    common state.
     """
 
-    __slots__ = ("_frames",)
+    __slots__ = ("_frames", "_sizes")
 
     def __init__(self) -> None:
         self._frames: "dict[int, tuple[bytes, bytes, bytes]]" = {}
+        self._sizes: "dict[int, int]" = {}
 
     def _build_frame(
         self, msg_id: int, tlv: bytes
@@ -355,6 +357,24 @@ class DiscoveryProbeTemplate:
             frame = self._build_frame(msg_id, tlv)
         prefix, mid, tail = frame
         return b"".join((prefix, tlv, mid, tlv, tail))
+
+    def probe_size(self, msg_id: int) -> int:
+        """Byte length of the probe carrying ``msg_id``, without rendering it.
+
+        The frame of the msg id's INTEGER width fixes every byte but the
+        two INTEGER TLVs, and for a non-negative msg id that width
+        depends only on its bit length, so each bit length is measured
+        once, on its frame.
+        """
+        bits = msg_id.bit_length()
+        size = self._sizes.get(bits)
+        if size is None:
+            tlv = ber.encode_integer(msg_id)
+            frame = self._frames.get(len(tlv))
+            if frame is None:
+                frame = self._build_frame(msg_id, tlv)
+            size = self._sizes[bits] = sum(map(len, frame)) + 2 * len(tlv)
+        return size
 
     def render_batch(self, msg_ids: "Sequence[int]") -> "list[bytes]":
         """Encode a window of probes in one vectorized pass."""

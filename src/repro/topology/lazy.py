@@ -923,9 +923,10 @@ class LazyTopology:
     and handlers, result handlers) still references a device, every
     lookup returns that same object — required for agent-state
     snapshot/restore correctness — without pinning the world in memory.
-    The executor resolves each shard's probes once, at shard start,
-    through :meth:`bindings_of`, so only devices a probe reaches are
-    derived.
+    The executor resolves each planning window once, through
+    :meth:`resolve_window`, into routing owners and answering device
+    ids; a probe nothing answers never reaches a shard, and each shard
+    derives only the devices its probes reach, from their ids.
     """
 
     layout = "streamed"
@@ -965,7 +966,7 @@ class LazyTopology:
         # and its bypass keeps a resident subset serving hits.  Two
         # byte-per-slot tables remember the cheap verdicts for every
         # slot ever derived: ``_openness`` (0 unknown / 1 open /
-        # 2 closed) lets :meth:`bindings_of` reject a closed slot's
+        # 2 closed) lets :meth:`resolve_window` reject a closed slot's
         # addresses without reading its record, and
         # ``_pool_flags`` (0 unknown / 1 churn-eligible / 2 not) lets
         # churn-map builds skip slots that can never join a rotation.
@@ -1126,20 +1127,13 @@ class LazyTopology:
     # -- ownership / binding ------------------------------------------------
 
     def owner_of(self, address: IPAddress) -> "int | None":
-        """Slot owner with churn overlays (the shard-planner's view)."""
-        return self.owners_of([address])[0]
-
-    def owners_of(self, addresses: "list[IPAddress]") -> "list[int | None]":
-        """Batch :meth:`owner_of` over one planning window."""
-        slot_ids = self.plan.slot_ids(addresses)
-        if not self._churn_versions:
-            return slot_ids
-        return [
-            slot_id if new_owner is None else new_owner
-            for slot_id, new_owner in zip(
-                slot_ids, self._rotated_owners(addresses, slot_ids)
-            )
-        ]
+        """Slot owner with churn overlays: the device routing ``address``."""
+        slot_ids = self.plan.slot_ids([address])
+        if self._churn_versions:
+            new_owner = self._rotated_owners([address], slot_ids)[0]
+            if new_owner is not None:
+                return new_owner
+        return slot_ids[0]
 
     def _rotated_owners(
         self, addresses: "list[IPAddress]", slot_ids: "list[int | None]"
@@ -1176,19 +1170,24 @@ class LazyTopology:
 
     def binding_of(self, address: IPAddress) -> "Device | None":
         """The device answering SNMP at ``address``, or ``None``."""
-        return self.bindings_of([address])[0]
+        answering = self.resolve_window([address])[1][0]
+        return None if answering is None else self.device_for_id(answering)
 
-    def bindings_of(self, addresses: "list[IPAddress]") -> "list[Device | None]":
-        """The device answering SNMP at each address, or ``None``.
+    def resolve_window(
+        self, addresses: "list[IPAddress]"
+    ) -> "tuple[list[int | None], list[int | None]]":
+        """Each address's routing owner and answering device id, in one pass.
 
-        Mirrors the eager campaign's binding rules: open devices bind
-        their reachable interfaces; churned addresses rebind to the
-        rotated pool member unconditionally.  Closed slots are rejected
-        by ``_openness`` and open ones by their membership record, so
-        only a device that some address reaches is derived.  Each device
-        is looked up once per call and answers every address it binds
-        with the same object: the executor calls this once per shard, so
-        the residency cache sees one access per device and shard.
+        The owner is :meth:`owner_of`'s: the slot owning the address,
+        or the pool member a churned address rotated to.  The answering
+        id follows the eager campaign's binding rules: an open device
+        answers at its reachable interfaces, and a churned address binds
+        its rotated pool member unconditionally; ``None`` means nothing
+        answers.  Closed slots are rejected by ``_openness`` and open
+        ones by their membership record, so no device is derived here
+        except a load balancer, which has no membership shortcut.  The
+        executor resolves each planning window once through this, so
+        the plan arithmetic and the churn lookups run once per probe.
         """
         slot_ids = self.plan.slot_ids(addresses)
         rotated = (
@@ -1196,29 +1195,30 @@ class LazyTopology:
             if self._churn_versions
             else None
         )
+        owners = (
+            slot_ids
+            if rotated is None
+            else [
+                slot_id if new_owner is None else new_owner
+                for slot_id, new_owner in zip(slot_ids, rotated)
+            ]
+        )
         openness = self._openness
-        answering: "dict[int, frozenset[int]]" = {}
-        found: "dict[int, Device]" = {}
-        out: "list[Device | None]" = []
-        append = out.append
+        reachable_at: "dict[int, frozenset[int]]" = {}
+        answering: "list[int | None]" = []
+        append = answering.append
         for position, slot_id in enumerate(slot_ids):
-            owner = None if rotated is None else rotated[position]
-            if owner is None:
-                if slot_id is None or openness[slot_id] == 2:
-                    append(None)
-                    continue
-                reachable = answering.get(slot_id)
-                if reachable is None:
-                    reachable = answering[slot_id] = self._answering_at(slot_id)
-                if int(addresses[position]) not in reachable:
-                    append(None)
-                    continue
-                owner = slot_id
-            device = found.get(owner)
-            if device is None:
-                device = found[owner] = self.device_for_id(owner)  # type: ignore[assignment]
-            append(device)
-        return out
+            if rotated is not None and rotated[position] is not None:
+                append(rotated[position])
+                continue
+            if slot_id is None or openness[slot_id] == 2:
+                append(None)
+                continue
+            reachable = reachable_at.get(slot_id)
+            if reachable is None:
+                reachable = reachable_at[slot_id] = self._answering_at(slot_id)
+            append(slot_id if int(addresses[position]) in reachable else None)
+        return owners, answering
 
     def _answering_at(self, device_id: int) -> "frozenset[int]":
         """The addresses, as integers, at which slot ``device_id`` answers.

@@ -24,7 +24,7 @@ from repro.snmp.agent import AgentBehavior, SnmpAgent
 from repro.snmp.constants import SNMP_PORT
 from repro.snmp.engine_id import EngineId
 from repro.snmp.loadbalancer import AgentPool, BalancingPolicy
-from repro.snmp.messages import encode_discovery_probe
+from repro.snmp.messages import DiscoveryProbeTemplate, encode_discovery_probe
 
 SOURCE = parse_ip("203.0.113.77")
 SPORT = 39321
@@ -284,3 +284,33 @@ def test_response_delay_read_per_delivery():
     # The delay actually moved the later arrivals.
     flat = [a for sub in arrivals["batched"] for a in sub]
     assert any(arrival >= 22.0 for arrival in flat)
+
+
+#: Msg ids on each side of every INTEGER width boundary a probe can use.
+WIDTH_BOUNDARIES = (1, 127, 128, 32767, 32768, 8388607, 8388608, 2**31 - 1)
+
+
+@pytest.mark.parametrize("source, target", [
+    (SOURCE, parse_ip("192.0.2.9")),
+    (parse_ip("2001:db8:5ca0::77"), parse_ip("2001:db8::9")),
+])
+def test_counted_unanswered_probes_match_delivered_ones(source, target):
+    """A probe that nothing answers may be counted instead of delivered:
+    the template's size of the probe is its rendered length, and
+    counting it books what delivering it books, IP and UDP headers
+    included, for every INTEGER width of the msg id."""
+    template = DiscoveryProbeTemplate()
+    for msg_id in WIDTH_BOUNDARIES:
+        payload = DiscoveryProbeTemplate().render(msg_id)
+        assert template.probe_size(msg_id) == len(payload), msg_id
+        fabric = NetworkFabric(seed=1)
+        delivered = fabric.shard_view(seed=2)
+        assert delivered.inject_probe_batch(
+            source, SPORT, SNMP_PORT, [target], [payload], [0.0], [msg_id],
+        ) == [[]]
+        counted = fabric.shard_view(seed=2)
+        counted.count_unanswered(
+            target.version, 1, template.probe_size(msg_id)
+        )
+        assert counted.stats == delivered.stats, msg_id
+        assert counted.stats.dropped_no_endpoint == 1

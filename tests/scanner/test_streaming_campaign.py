@@ -2,9 +2,9 @@
 
 The streamed campaign path never materializes a scan's target list: the
 executor pulls targets through planning windows, and on a lazy topology
-it resolves each shard's targets at shard start, deriving only the
-devices a probe reaches.  These tests pin the properties that make that
-safe:
+it resolves each window once while planning it.  A probe nothing
+answers is only counted, and a shard derives only the devices its
+probes reach.  These tests pin the properties that make that safe:
 
 * the full four-scan campaign — including the inter-scan reboot window
   and per-family DHCP churn — matches its golden digest (the churn
@@ -16,6 +16,8 @@ safe:
   and peak RSS stays flat while a lazy campaign's targets grow tenfold;
 * a scan derives only devices that answer its family, and the residency
   cache serves the second scan of a pair;
+* only answering probes are encoded and delivered, unless a retry
+  policy needs the others;
 * ground truth on lazy campaigns is queried from the topology
   (``result.bindings`` stays empty by contract).
 
@@ -34,8 +36,10 @@ import sys
 
 import pytest
 
+from repro.net.transport import FabricView
 from repro.scanner.campaign import SCAN_LABELS, ScanCampaign
-from repro.scanner.executor import ExecutionOptions
+from repro.scanner.executor import ExecutionOptions, RetryPolicy
+from repro.snmp.messages import DiscoveryProbeTemplate
 from repro.topology import lazy as lazy_module
 from repro.topology.config import TopologyConfig
 from repro.topology.lazy import LazyTopology
@@ -269,6 +273,74 @@ def test_scans_derive_only_answering_devices_and_reuse_the_cache(monkeypatch):
     counts = {label: len(derived[label]) for label in SCAN_LABELS}
     assert counts["v6-2"] <= counts["v6-1"] // 2, counts
     assert counts["v4-2"] < counts["v4-1"], counts
+
+
+def _count_encoded_and_delivered(monkeypatch, config, **options_kw):
+    """Run one lazy campaign; per scan, its metrics and the targets the
+    probe encoder and the fabric each received."""
+    received = {"rendered": 0, "delivered": 0}
+    render_batch = DiscoveryProbeTemplate.render_batch
+    inject_probe_batch = FabricView.inject_probe_batch
+
+    def counting_render(self, msg_ids):
+        received["rendered"] += len(msg_ids)
+        return render_batch(self, msg_ids)
+
+    def counting_inject(self, source, sport, dport, targets, *args, **kwargs):
+        received["delivered"] += len(targets)
+        return inject_probe_batch(
+            self, source, sport, dport, targets, *args, **kwargs
+        )
+
+    monkeypatch.setattr(DiscoveryProbeTemplate, "render_batch", counting_render)
+    monkeypatch.setattr(FabricView, "inject_probe_batch", counting_inject)
+    campaign = ScanCampaign(
+        topology=LazyTopology(config=config), config=config,
+        options=ExecutionOptions(**options_kw),
+    )
+    scans = []
+    for stream in campaign.run_streaming():
+        before = dict(received)
+        for __ in stream.batches():
+            pass
+        scans.append((
+            stream.execution.metrics,
+            received["rendered"] - before["rendered"],
+            received["delivered"] - before["delivered"],
+        ))
+    return scans
+
+
+def test_probes_nothing_answers_are_neither_encoded_nor_delivered(monkeypatch):
+    """Planning tallies a lazy probe that nothing answers: the encoder
+    renders, and the fabric receives, exactly each scan's answering
+    probes, while every probe still counts as sent and, unanswered, as
+    dropped for want of an endpoint."""
+    scans = _count_encoded_and_delivered(monkeypatch, make_config())
+    for metrics, rendered, delivered in scans:
+        answering = sum(
+            shard.injected - shard.dropped_no_endpoint
+            for shard in metrics.shards
+        )
+        assert 0 < answering < metrics.probes_sent, metrics.label
+        assert rendered == answering, metrics.label
+        assert delivered == answering, metrics.label
+        assert metrics.probes_sent == metrics.targets, metrics.label
+
+
+def test_retry_policies_still_deliver_every_target(monkeypatch):
+    """Retries re-probe an unanswered target and feed its device's
+    breaker, so under the adversarial-retries policy every probe, first
+    or retried, reaches the fabric."""
+    scans = _count_encoded_and_delivered(
+        monkeypatch, make_config(adversarial_frac=0.15),
+        fault_profile="chaos",
+        retry=RetryPolicy(max_retries=2, timeout=1.5, breaker_threshold=3),
+    )
+    for metrics, __, delivered in scans:
+        assert metrics.retries > 0, metrics.label
+        assert delivered == metrics.probes_sent, metrics.label
+        assert metrics.probes_sent == metrics.targets + metrics.retries
 
 
 #: One lazy campaign in a fresh interpreter, so its peak RSS is that

@@ -51,6 +51,10 @@ GOLDEN = {
     "chaos": "178a23893cab89f4e4b475df3491677f8715e12504dfde79e84367b9c646c43e",
     "conformance": "4a3e7b4f3723dd1621ffbb6aca91b99d7dee2c921100f6f724eeb66dde600058",
     "adversarial-retries": "54b8941c8d336bb771281f2a04b7e9c4d7ac6ec3ba5b7bfe48567ca53761162b",
+    # Blessed at 17e38ed against the lazy world alone (by then the eager
+    # streamed build was gone): the staged path's timeout filter, which
+    # no other lazy row exercises.
+    "timeout": "84468185ccdcee42869befa6676623be2fdf4a11db38900d1c5ad358aab1a7b4",
     "devices": "2ec5b602176d97586e0b2393ba3fec5e537c3b0cdeff7910d7b19777a745cf55",
     "ases": "a74c68b75f4fbf7905ee72b2ba49516cce30d98221b0287e7e31c1835c1fd78d",
 }
@@ -171,6 +175,14 @@ def test_campaign_identity_with_adversarial_agents_and_retries():
     # device count because only devices a probe reaches are derived.
     assert lazy.peak_resident <= 2 * lazy.max_resident
     assert lazy.derivations > lazy.max_resident
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_campaign_identity_with_a_timeout_and_no_retries(workers):
+    """A deadline without retries keeps the window-staged path and its
+    timeout filter: late replies are dropped and counted per shard."""
+    got = lazy_campaign_digest(workers=workers, retry=RetryPolicy(timeout=0.1))
+    assert got == GOLDEN["timeout"], workers
 
 
 def test_campaign_identity_under_conformance_profile():

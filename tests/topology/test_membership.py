@@ -154,8 +154,9 @@ def test_binding_agrees_with_eager_materialization_across_epochs(
     (after membership fast-rejection) bind every address identically,
     including agent reboot state, and both follow the eager binding
     rules over the pinned devices.  The lazy view answers either one
-    address at a time or in one ``bindings_of`` batch, in shuffled
-    order, as a shard resolves its probes.
+    address at a time or through one ``resolve_window`` pass over the
+    shuffled list, as the executor resolves a planning window; that
+    pass's routing owners are ``owner_of``'s.
     """
     config = make_config(seed)
     lazy_view = LazyTopology(config=config)
@@ -196,7 +197,12 @@ def test_binding_agrees_with_eager_materialization_across_epochs(
     assert all(lazy_view.plan.locate(address) is None for address in OUTSIDE)
     if batch:
         random.Random(seed).shuffle(addresses)
-        answers = lazy_view.bindings_of(addresses)
+        owners, answering = lazy_view.resolve_window(addresses)
+        assert owners == [lazy_view.owner_of(address) for address in addresses]
+        answers = [
+            None if device_id is None else lazy_view.device_for_id(device_id)
+            for device_id in answering
+        ]
     else:
         answers = [lazy_view.binding_of(address) for address in addresses]
     assert len(answers) == len(addresses)
